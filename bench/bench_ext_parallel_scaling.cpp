@@ -1,17 +1,14 @@
-// Engineering study: batch-query throughput vs. worker threads, and dynamic
-// vs. static scheduling under skewed per-seed costs.
+// Engineering study: batch-query throughput vs. worker threads, on equal-cost
+// stand-ins and on a degree-skewed graph.
 //
 // LACA's online stage is embarrassingly parallel across seeds (each query
 // explores its own region with private scratch). This bench answers the
-// deployment questions the paper's single-seed timings (Fig. 7) leave open:
+// deployment question the paper's single-seed timings (Fig. 7) leave open:
 // how does query throughput scale when the 500-seed evaluation protocol is
-// fanned out over cores, and does the atomic-counter dynamic scheduler beat
-// static chunking when seed costs are skewed? Results are also emitted to
-// BENCH_parallel_scaling.json for cross-PR tracking.
+// fanned out over cores, including when seed costs are skewed? Results are
+// also emitted to BENCH_parallel_scaling.json for cross-PR tracking.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +16,6 @@
 #include "attr/tnam.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/batch.hpp"
 #include "eval/datasets.hpp"
@@ -75,61 +71,11 @@ void RunDataset(const std::string& name, size_t num_queries) {
   }
 }
 
-// Intra-query scaling: the single-seed big-graph regime of Fig. 10, where
-// batch parallelism has nothing to fan out and the non-greedy SpMV round
-// dominates. One persistent Laca per thread count, with a persistent helper
-// pool sharding the non-greedy rounds; per-seed mean over the same seeds at
-// every thread count. Results are bit-identical across thread counts (the
-// sharded round replays the serial FP order), so only time may change.
-void RunIntraQueryScaling(const std::string& name, size_t num_seeds,
-                          double epsilon) {
-  const Dataset& ds = GetDataset(name);
-  TnamOptions topts;
-  Tnam tnam = Tnam::Build(ds.data.attributes, topts);
-  std::vector<NodeId> seeds = SampleSeeds(ds, num_seeds);
-
-  bench::PrintHeader("Intra-query scaling on " + name + " (single-seed, " +
-                     std::to_string(seeds.size()) + " seeds, eps=" +
-                     bench::Fmt(epsilon, "%.0e") + ")");
-  bench::PrintRow("threads", {"s/seed", "speedup"}, 10, 14);
-  double baseline = 0.0;
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    DiffusionWorkspace workspace;
-    Laca laca(ds.data.graph, &tnam, &workspace);
-    std::unique_ptr<ThreadPool> helper;
-    if (threads > 1) {
-      helper = std::make_unique<ThreadPool>(threads - 1);
-      laca.SetIntraQueryPool(helper.get());
-    }
-    LacaOptions opts;
-    opts.epsilon = epsilon;
-    laca.ComputeBdd(seeds.front(), opts);  // warm the arena + shard buffers
-    Timer timer;
-    for (NodeId seed : seeds) laca.ComputeBdd(seed, opts);
-    const double per_seed =
-        timer.ElapsedSeconds() / static_cast<double>(seeds.size());
-    if (threads == 1) baseline = per_seed;
-    bench::PrintRow(std::to_string(threads),
-                    {bench::FmtSeconds(per_seed),
-                     bench::Fmt(baseline / per_seed, "%.2fx")},
-                    10, 14);
-    json.BeginRecord()
-        .Str("experiment", "intra_query_scaling")
-        .Str("dataset", name)
-        .Int("threads", threads)
-        .Num("epsilon", epsilon)
-        .Int("seeds", seeds.size())
-        .Num("seconds_per_seed", per_seed)
-        .Num("speedup", baseline / per_seed);
-  }
-}
-
 // Degree-skewed batch scaling: the same thread-scaling protocol on an SBM
 // whose endpoints draw from power-law node weights (degree_skew), so per-seed
 // costs vary by orders of magnitude — hub seeds explore huge volumes, leaf
-// seeds tiny ones. This is the scheduler-skew regime the equal-weight
-// stand-ins understate (the dynamic scheduler's advantage over static
-// chunking grows with it).
+// seeds tiny ones. This is the load-imbalance regime the equal-weight
+// stand-ins understate; BatchCluster's dynamic scheduler has to absorb it.
 void RunSkewedDegreeSbm(size_t num_queries) {
   AttributedSbmOptions o;
   o.num_nodes = 20000;
@@ -195,74 +141,6 @@ void RunSkewedDegreeSbm(size_t num_queries) {
   }
 }
 
-// Skewed-load study: queries sorted by measured serial cost so that static
-// chunking hands one worker all the expensive seeds. The dynamic scheduler
-// should stay near the balanced throughput; static should degrade toward
-// the cost of the heaviest chunk.
-void RunSkewComparison(const std::string& name, size_t num_queries,
-                       size_t threads) {
-  const Dataset& ds = GetDataset(name);
-  TnamOptions topts;
-  Tnam tnam = Tnam::Build(ds.data.attributes, topts);
-  std::vector<BatchQuery> queries = MakeQueries(ds, num_queries);
-
-  BatchClusterOptions serial;
-  serial.laca.epsilon = 1e-6;
-  serial.num_threads = 1;
-
-  // Measure each query's serial cost, then order ascending: the expensive
-  // tail lands in the last static chunk.
-  std::vector<double> cost(queries.size());
-  {
-    DiffusionWorkspace workspace;
-    Laca laca(ds.data.graph, &tnam, &workspace);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      Timer t;
-      laca.Cluster(queries[i].seed, queries[i].size, serial.laca);
-      cost[i] = t.ElapsedSeconds();
-    }
-  }
-  std::vector<size_t> order(queries.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return cost[a] < cost[b]; });
-  std::vector<BatchQuery> skewed;
-  for (size_t i : order) skewed.push_back(queries[i]);
-
-  bench::PrintHeader("Scheduler comparison on " + name + " (" +
-                     std::to_string(skewed.size()) +
-                     " cost-sorted queries, " + std::to_string(threads) +
-                     " threads)");
-  bench::PrintRow("scheduler", {"total time", "queries/s"}, 14, 14);
-  double static_seconds = 0.0, dynamic_seconds = 0.0;
-  for (BatchSchedule schedule :
-       {BatchSchedule::kStaticChunk, BatchSchedule::kDynamic}) {
-    BatchClusterOptions opts;
-    opts.laca.epsilon = 1e-6;
-    opts.num_threads = threads;
-    opts.schedule = schedule;
-    Timer timer;
-    BatchCluster(ds.data.graph, &tnam, skewed, opts);
-    const double seconds = timer.ElapsedSeconds();
-    const bool is_static = schedule == BatchSchedule::kStaticChunk;
-    (is_static ? static_seconds : dynamic_seconds) = seconds;
-    bench::PrintRow(
-        is_static ? "static chunk" : "dynamic",
-        {bench::FmtSeconds(seconds),
-         bench::Fmt(static_cast<double>(skewed.size()) / seconds, "%.0f")},
-        14, 14);
-    json.BeginRecord()
-        .Str("experiment", "skewed_schedulers")
-        .Str("dataset", name)
-        .Str("scheduler", is_static ? "static_chunk" : "dynamic")
-        .Int("threads", threads)
-        .Int("queries", skewed.size())
-        .Num("seconds", seconds);
-  }
-  std::printf("dynamic vs static: %.2fx\n",
-              static_seconds / dynamic_seconds);
-}
-
 }  // namespace
 }  // namespace laca
 
@@ -273,20 +151,13 @@ int main() {
   laca::RunDataset("pubmed-sim", queries);
   laca::RunDataset("arxiv-sim", queries);
   laca::RunSkewedDegreeSbm(queries);
-  laca::RunSkewComparison("pubmed-sim", queries, std::max(2u, cores));
-  // The big-graph single-seed regime: per-query latency can only improve via
-  // intra-query sharding. Few seeds — each is a full deep diffusion.
-  laca::RunIntraQueryScaling("amazon2m-sim", laca::BenchSeedCount(8), 1e-7);
   laca::json.WriteFile("BENCH_parallel_scaling.json");
   std::printf(
       "\nExpected shape: near-linear batch scaling up to the machine's core\n"
-      "count (queries touch disjoint regions and share only the read-only\n"
-      "graph and TNAM), the dynamic scheduler beating static chunking on\n"
-      "the cost-sorted set, and >= 2x single-seed speedup at 8 threads from\n"
-      "intra-query sharding of the non-greedy rounds. On a single-core host\n"
-      "the batch comparisons degenerate to ~1.0x plus scheduling overhead,\n"
-      "but intra-query rows drop to ~0.3x: the deterministic bucket\n"
-      "materialization costs ~2.9x the fused serial scatter when serialized\n"
-      "(DESIGN.md §2b) and only pays off with real cores.\n");
+      "count on both the equal-cost stand-ins and the degree-skewed SBM\n"
+      "(queries touch disjoint regions and share only the read-only graph\n"
+      "and TNAM; the dynamic scheduler rebalances skewed seed costs). On a\n"
+      "single-core host every row degenerates to ~1.0x plus scheduling\n"
+      "overhead.\n");
   return 0;
 }

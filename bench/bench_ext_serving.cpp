@@ -154,7 +154,6 @@ void RunDataset(const std::string& name, size_t num_requests) {
   for (size_t workers : {1u, 2u, 4u, 8u}) {
     ServingOptions opts;
     opts.num_workers = workers;
-    opts.num_threads = workers;
     opts.max_queue_depth = requests.size() + 1;
     ServingEngine engine(snapshot, opts);
 
@@ -254,7 +253,6 @@ void RunReloadStudy(const std::string& name, size_t num_requests,
 
   ServingOptions opts;
   opts.num_workers = workers;
-  opts.num_threads = workers;
   opts.max_queue_depth = 2 * requests.size() + 1;
   ServingEngine engine(std::move(v1), opts);
   // The engine now owns every v1 reference; a lingering local here would
@@ -453,7 +451,6 @@ void RunOverloadStudy(const std::string& name, size_t num_requests,
 
   ServingOptions opts;
   opts.num_workers = workers;
-  opts.num_threads = workers;
   opts.max_queue_depth = 2 * requests.size() + 1;  // shed, don't reject
   ServingEngine engine(snapshot, opts);
 
@@ -642,7 +639,6 @@ void RunZipfStudy(const std::string& name, size_t pool_target,
          {CacheMode::kOff, CacheMode::kFull, CacheMode::kTwoTier}) {
       ServingOptions opts;
       opts.num_workers = workers;
-      opts.num_threads = workers;
       opts.max_queue_depth = 64;
       opts.cache.mode = mode;
       ServingEngine engine(snapshot, opts);
@@ -754,7 +750,6 @@ void RunRetryStudy(const std::string& name, size_t num_requests,
 
   ServingOptions opts;
   opts.num_workers = workers;
-  opts.num_threads = workers;
   opts.max_queue_depth = 4;  // shallow on purpose: admission bounces
   ServingEngine engine(snapshot, opts);
   // Warm one request at a time — the queue is too shallow for Drive's

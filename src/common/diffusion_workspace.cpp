@@ -46,60 +46,6 @@ void DiffusionWorkspace::Bind(const Graph& graph) {
   }
 }
 
-std::vector<DiffusionWorkspace::ThreadShard>& DiffusionWorkspace::AcquireShards(
-    size_t count) {
-  if (shards_.size() < count) {
-    shards_.resize(count);
-    ++alloc_events_;
-  }
-  // Clear EVERY existing shard, not just the first `count`: a round with a
-  // smaller shard count than the high-water mark must never observe another
-  // round's leftovers, even if a reader's loop bound is off.
-  for (ThreadShard& shard : shards_) {
-    if (shard.outgoing.size() < count) {
-      shard.outgoing.resize(count);
-      ++alloc_events_;
-    }
-    for (auto& bucket : shard.outgoing) bucket.clear();
-    shard.q_appends.clear();
-    shard.touches.clear();
-    shard.push_work = 0;
-  }
-  return shards_;
-}
-
-void DiffusionWorkspace::AuditShardAllocations() {
-  // Shard buffers grow via push_back to a per-workload high-water mark; this
-  // compares their capacities against the last snapshot so growth shows up
-  // in alloc_events() even though it happens off the Reserve() path.
-  size_t caps = 0;
-  for (const ThreadShard& shard : shards_) {
-    caps += shard.outgoing.size() + 2;
-  }
-  const bool fresh = shard_caps_.size() != caps;
-  if (fresh) shard_caps_.assign(caps, 0);
-  size_t i = 0;
-  for (const ThreadShard& shard : shards_) {
-    for (const auto& bucket : shard.outgoing) {
-      if (bucket.capacity() != shard_caps_[i]) {
-        shard_caps_[i] = bucket.capacity();
-        ++alloc_events_;
-      }
-      ++i;
-    }
-    if (shard.q_appends.capacity() != shard_caps_[i]) {
-      shard_caps_[i] = shard.q_appends.capacity();
-      ++alloc_events_;
-    }
-    ++i;
-    if (shard.touches.capacity() != shard_caps_[i]) {
-      shard_caps_[i] = shard.touches.capacity();
-      ++alloc_events_;
-    }
-    ++i;
-  }
-}
-
 void DiffusionWorkspace::AbortCall() {
   // r_support covers every node whose residue became nonzero in EITHER
   // generation this call (the stamp check guards all appends), so clearing

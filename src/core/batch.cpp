@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
+#include <thread>
 
 #include "common/thread_pool.hpp"
-#include "core/thread_budget.hpp"
 
 namespace laca {
 
@@ -15,79 +14,35 @@ std::vector<std::vector<NodeId>> BatchCluster(
   std::vector<std::vector<NodeId>> results(queries.size());
   if (queries.empty()) return results;
 
-  // More across-seed workers than queries just idle (and waste a Laca
-  // construction each); the surplus threads instead become intra-query
-  // helpers. The split clamps the combined fleet — workers plus helpers —
-  // to the num_threads budget even under an intra_query_threads override.
-  // The schedulers below are correct for any worker count in
-  // [1, queries.size()].
-  const TwoLevelBudget budget = SplitThreadBudget(
-      queries.size(), opts.num_threads, opts.intra_query_threads);
-  const size_t workers = budget.workers;
+  // More workers than queries would just idle (and waste a Laca
+  // construction each).
+  const size_t threads =
+      opts.num_threads != 0
+          ? opts.num_threads
+          : std::max<size_t>(1, std::thread::hardware_concurrency());
+  const size_t workers = std::min(queries.size(), threads);
 
-  // One worker body shared by every scheduling shape: a persistent Laca
-  // (warm workspace across all the queries this worker claims) plus an
-  // optional private helper pool for sharding big non-greedy rounds. The
-  // helper pool is per-worker and lives for the whole batch, so queries pay
-  // no thread spawn cost.
-  auto answer = [&](Laca& laca, size_t i) {
-    results[i] = laca.Cluster(queries[i].seed, queries[i].size, opts.laca);
+  // Dynamic scheduling: every worker keeps one Laca (a warm workspace across
+  // all the queries it claims) and pulls the next query off a shared atomic
+  // counter, so skewed seed costs rebalance instead of serializing on one
+  // worker. The counter is declared before the pool and group so that ANY
+  // exit — including an exception unwinding past group's waiting destructor
+  // — destroys it only after every worker that can touch it has finished.
+  std::atomic<size_t> next{0};
+  auto work = [&] {
+    Laca laca(graph, tnam);
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < queries.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+      results[i] = laca.Cluster(queries[i].seed, queries[i].size, opts.laca);
+    }
   };
-  auto make_worker = [&](size_t w, auto claim) {
-    return [&, w, claim] {
-      Laca laca(graph, tnam);
-      std::optional<ThreadPool> helper;
-      const size_t threads = budget.per_worker[w];
-      if (threads > 1) {
-        helper.emplace(threads - 1);
-        laca.SetIntraQueryPool(&*helper);
-      }
-      claim(laca);
-    };
-  };
-
   if (workers == 1) {
-    // No across-seed pool: one worker answers everything in order (still
-    // with its intra-query helpers when the budget allows).
-    make_worker(0, [&](Laca& laca) {
-      for (size_t i = 0; i < queries.size(); ++i) answer(laca, i);
-    })();
+    work();  // no pool: the calling thread answers everything in order
     return results;
   }
-
-  // Declared before the pool and group so that ANY exit — including an
-  // exception unwinding past group's waiting destructor — destroys the
-  // counter only after every worker that can touch it has finished.
-  std::atomic<size_t> next{0};
   ThreadPool pool(workers);
   TaskGroup group(pool);
-  if (opts.schedule == BatchSchedule::kStaticChunk) {
-    // One contiguous chunk per worker. Kept for comparison benchmarks
-    // (bench_ext_parallel_scaling): skewed per-seed costs serialize on the
-    // slowest chunk.
-    const size_t chunk = (queries.size() + workers - 1) / workers;
-    for (size_t w = 0; w < workers; ++w) {
-      const size_t lo = w * chunk;
-      const size_t hi = std::min(lo + chunk, queries.size());
-      if (lo >= hi) break;
-      group.Submit(make_worker(w, [&, lo, hi](Laca& laca) {
-        for (size_t i = lo; i < hi; ++i) answer(laca, i);
-      }));
-    }
-  } else {
-    // Dynamic scheduling: every worker pulls the next query off the shared
-    // atomic counter, so skewed seed costs rebalance instead of serializing
-    // on the slowest chunk.
-    for (size_t w = 0; w < workers; ++w) {
-      group.Submit(make_worker(w, [&](Laca& laca) {
-        for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
-             i < queries.size();
-             i = next.fetch_add(1, std::memory_order_relaxed)) {
-          answer(laca, i);
-        }
-      }));
-    }
-  }
+  for (size_t w = 0; w < workers; ++w) group.Submit(work);
   group.Wait();  // per-batch: rethrows this batch's first error only
   return results;
 }

@@ -23,34 +23,13 @@ struct BatchQuery {
   size_t size = 1;
 };
 
-/// Work distribution strategy for BatchCluster.
-enum class BatchSchedule {
-  /// Workers pull queries off a shared atomic counter: skewed per-seed costs
-  /// rebalance automatically. The default.
-  kDynamic,
-  /// One contiguous chunk per worker. Kept for scheduler-comparison
-  /// benchmarks; skewed seed costs serialize on the slowest chunk.
-  kStaticChunk,
-};
-
 /// Options for BatchCluster.
 struct BatchClusterOptions {
   LacaOptions laca;
-  /// Total thread budget; 0 uses the hardware concurrency. Distributed by
-  /// two-level scheduling: with more queries than threads, every thread is
-  /// an across-seed worker (one warm Laca each); with fewer queries than
-  /// threads (the few-large-seeds / big-graph regime), the surplus becomes
-  /// per-worker intra-query helper pools that shard big non-greedy rounds.
-  /// Results are bit-identical for every split.
+  /// Thread budget; 0 uses the hardware concurrency. The batch runs
+  /// min(queries, budget) workers, each answering queries serially on one
+  /// warm Laca; results are bit-identical for every budget.
   size_t num_threads = 0;
-  BatchSchedule schedule = BatchSchedule::kDynamic;
-  /// Ceiling on the per-worker intra-query thread budget (including the
-  /// worker itself): 0 = auto (distribute the num_threads surplus), 1 =
-  /// force serial queries, k > 1 = at most k-1 helper threads per worker.
-  /// The combined fleet (workers + helpers) is always clamped to the
-  /// num_threads budget — a 16-worker batch with intra_query_threads=4 no
-  /// longer spawns 64 threads on an 8-thread budget (see SplitThreadBudget).
-  size_t intra_query_threads = 0;
 };
 
 /// Answers every query with Laca::Cluster. Results are returned in query

@@ -21,9 +21,6 @@ struct LacaOptions {
   double sigma = 0.0;
   /// Ablation switch (Table VI, "w/o AdaptiveDiffuse"): use GreedyDiffuse.
   bool use_adaptive = true;
-  /// Minimum support size before non-greedy rounds shard across the
-  /// intra-query pool (forwarded to DiffusionOptions; inert without one).
-  size_t min_parallel_support = 2048;
   /// Cooperative cancellation token (borrowed; null = never cancel).
   /// Forwarded to both diffusion calls and polled in the Step-2 kernel, so a
   /// deadline trips within one poll interval anywhere in Algo. 4. A tripped
@@ -32,8 +29,7 @@ struct LacaOptions {
   const CancelToken* cancel = nullptr;
 
   DiffusionOptions ToDiffusionOptions() const {
-    return DiffusionOptions{alpha, epsilon, sigma, min_parallel_support,
-                            cancel};
+    return DiffusionOptions{alpha, epsilon, sigma, cancel};
   }
 };
 
@@ -119,11 +115,6 @@ class Laca {
   /// The diffusion scratch arena (owned or borrowed); its alloc_events()
   /// counter witnesses the zero-allocation steady state across queries.
   const DiffusionWorkspace& workspace() const { return engine_.workspace(); }
-
-  /// Forwards the intra-query helper pool to the diffusion engine: big
-  /// non-greedy rounds shard across it (see DiffusionEngine). The pool must
-  /// be private to this Laca's calling thread and outlive its calls.
-  void SetIntraQueryPool(ThreadPool* pool) { engine_.SetIntraQueryPool(pool); }
 
  private:
   // Step 2 (Eqs. 12-13) through the fused TNAM kernels; shared by

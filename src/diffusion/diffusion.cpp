@@ -1,29 +1,10 @@
 #include "diffusion/diffusion.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 
 namespace laca {
-namespace {
-
-// Owner shard of a scatter target: blocks of 16 node ids round-robin across
-// shards, so each owner writes 128-byte r_next regions and 64-byte stamp
-// regions — no false sharing between merge threads. The function only decides
-// WHICH thread applies a target's contributions, never their order, so it is
-// free to change without affecting results.
-inline size_t OwnerShard(NodeId u, size_t shards) {
-  return static_cast<size_t>(u >> 4) % shards;
-}
-
-// Upper bound on intra-query shards: keeps the touch-merge cursor array on
-// the stack (zero per-round heap traffic) and is far above any sensible
-// per-query thread budget.
-constexpr size_t kMaxIntraQueryShards = 64;
-
-}  // namespace
 
 DiffusionEngine::DiffusionEngine(const Graph& graph)
     : graph_(graph), owned_ws_(graph), ws_(&owned_ws_) {}
@@ -176,10 +157,10 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
   };
 
   while (!support.empty()) {
-    // Round boundary: the unconditional poll site. Sharded rounds rely on it
-    // exclusively — a poll inside their drain/merge phases would have to
-    // propagate an exception across the task group, so there the round is
-    // the poll interval.
+    // Round boundary: the unconditional poll site. The probe and counting
+    // scans below push nothing, so without it a call whose rounds scan a
+    // large support but push little would poll only every kCancelPollOps
+    // pushes.
     if (cancel != nullptr) cancel->ThrowIfExpired();
 
     // Decide the round type (Algo. 2, Line 4): non-greedy when the active
@@ -233,53 +214,39 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
       if (TrackVolume) r_volume_ = 0.0;  // re-accumulated over r_next below
       ++*nongreedy_rounds;
       const size_t count = support.size();
-      const size_t shards =
-          intra_pool_ != nullptr && count >= opts.min_parallel_support
-              ? std::min({intra_pool_->num_threads() + 1, count,
-                          kMaxIntraQueryShards})
-              : 1;
-      if (shards > 1) {
-        // Big-round path: the round IS the SpMV over the support, so shard
-        // it across the intra-query pool. Bit-identical to the serial body
-        // below for any shard count.
-        ShardedNonGreedyRound<Weighted, TrackVolume>(
-            opts, shards, r, r_next, record_trace, &g_total, &scattered_l1,
-            push_work);
-      } else {
-        for (size_t i = 0; i < count; ++i) {
-          poll_cancel();
-          const NodeId v = support[i];
-          const double rv = r[v];
-          if (rv == 0.0) continue;
-          r[v] = 0.0;
-          g_total += rv;
-          if (q[v] == 0.0) q_support.push_back(v);
-          q[v] += (1.0 - alpha) * rv;
-          const EdgeIndex begin = offsets[v];
-          const EdgeIndex end = offsets[v + 1];
-          *push_work += end - begin;
-          const double scale = alpha * rv * inv_deg[v];
-          if (scale == 0.0 || begin == end) continue;  // dangling / underflow
-          if (record_trace) scattered_l1 += alpha * rv;
-          for (EdgeIndex e = begin; e < end; ++e) {
-            double value;
-            if constexpr (Weighted) {
-              value = scale * weights[e];
-              if (value == 0.0) continue;
-            } else {
-              value = scale;
-            }
-            const NodeId u = adjacency[e];
-            const double ru = r_next[u];
-            if (ru == 0.0) {
-              if (TrackVolume) r_volume_ += deg[u];
-              if (stamp[u] != call_stamp) {
-                stamp[u] = call_stamp;
-                support.push_back(u);
-              }
-            }
-            r_next[u] = ru + value;
+      for (size_t i = 0; i < count; ++i) {
+        poll_cancel();
+        const NodeId v = support[i];
+        const double rv = r[v];
+        if (rv == 0.0) continue;
+        r[v] = 0.0;
+        g_total += rv;
+        if (q[v] == 0.0) q_support.push_back(v);
+        q[v] += (1.0 - alpha) * rv;
+        const EdgeIndex begin = offsets[v];
+        const EdgeIndex end = offsets[v + 1];
+        *push_work += end - begin;
+        const double scale = alpha * rv * inv_deg[v];
+        if (scale == 0.0 || begin == end) continue;  // dangling / underflow
+        if (record_trace) scattered_l1 += alpha * rv;
+        for (EdgeIndex e = begin; e < end; ++e) {
+          double value;
+          if constexpr (Weighted) {
+            value = scale * weights[e];
+            if (value == 0.0) continue;
+          } else {
+            value = scale;
           }
+          const NodeId u = adjacency[e];
+          const double ru = r_next[u];
+          if (ru == 0.0) {
+            if (TrackVolume) r_volume_ += deg[u];
+            if (stamp[u] != call_stamp) {
+              stamp[u] = call_stamp;
+              support.push_back(u);
+            }
+          }
+          r_next[u] = ru + value;
         }
       }
       std::swap(r, r_next);  // r_next is fully drained, hence all-zero
@@ -337,173 +304,6 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
       stats->residual_trace.push_back(r_l1);
     }
   }
-}
-
-// One non-greedy round sharded across `shards` threads (the calling thread
-// plus shards-1 pool helpers). Structure:
-//
-//   trace pre-pass (serial)  exact g_total / scattered_l1 in serial FP order
-//   phase 1 (parallel)       shard s drains support slice [lo_s, hi_s):
-//                            zeroes r, converts into q, buckets every scatter
-//                            contribution by OwnerShard(target), stamped with
-//                            its shard-local emission seq
-//   q merge (serial)         concatenate shard q_appends in shard order
-//   phase 2 (parallel)       owner o applies buckets (s=0..S-1, o) in (s,seq)
-//                            order to r_next/stamp — both owner-exclusive —
-//                            recording first touches with their global key
-//   touch merge (serial)     k-way merge per-owner touch lists by key: exact
-//                            serial support-append and vol(r) FP order
-//
-// Contiguous slices mean the serial kernel's contribution stream is exactly
-// "shard 0's stream, then shard 1's, ...", so (shard, seq) reconstructs the
-// serial order wherever it is observable; everywhere else the merge is
-// order-insensitive. See DESIGN.md §2b for the full invariant list.
-template <bool Weighted, bool TrackVolume>
-void DiffusionEngine::ShardedNonGreedyRound(const DiffusionOptions& opts,
-                                            size_t shards, double* r,
-                                            double* r_next, bool record_trace,
-                                            double* g_total,
-                                            double* scattered_l1,
-                                            uint64_t* push_work) {
-  double* const q = ws_->q();
-  const double* const deg = graph_.degrees().data();
-  const double* const inv_deg = ws_->inv_degree();
-  const EdgeIndex* const offsets = graph_.offsets().data();
-  const NodeId* const adjacency = graph_.adjacency().data();
-  const double* const weights = Weighted ? graph_.weights().data() : nullptr;
-  uint32_t* const stamp = ws_->stamp();
-  const uint32_t call_stamp = ws_->call_stamp();
-  std::vector<NodeId>& support = ws_->r_support();
-  std::vector<NodeId>& q_support = ws_->q_support();
-  const double alpha = opts.alpha;
-  const size_t count = support.size();
-  const size_t chunk = (count + shards - 1) / shards;
-  std::vector<DiffusionWorkspace::ThreadShard>& shard_state =
-      ws_->AcquireShards(shards);
-
-  // Trace accumulators must see the pre-drain residual in support order; the
-  // serial body interleaves these adds with the scatter, but each accumulator
-  // still receives the same left-to-right sequence this pre-pass produces.
-  if (record_trace) {
-    for (size_t i = 0; i < count; ++i) {
-      const double rv = r[support[i]];
-      if (rv == 0.0) continue;
-      *g_total += rv;
-      const NodeId v = support[i];
-      const double scale = alpha * rv * inv_deg[v];
-      if (scale == 0.0 || offsets[v] == offsets[v + 1]) continue;
-      *scattered_l1 += alpha * rv;
-    }
-  }
-
-  auto drain_slice = [&](size_t s) {
-    DiffusionWorkspace::ThreadShard& mine = shard_state[s];
-    const size_t lo = s * chunk;
-    const size_t hi = std::min(count, lo + chunk);
-    uint32_t seq = 0;  // emission index; < 2^32 contributions per slice
-    for (size_t i = lo; i < hi; ++i) {
-      const NodeId v = support[i];
-      const double rv = r[v];
-      if (rv == 0.0) continue;
-      r[v] = 0.0;
-      if (q[v] == 0.0) mine.q_appends.push_back(v);
-      q[v] += (1.0 - alpha) * rv;
-      const EdgeIndex begin = offsets[v];
-      const EdgeIndex end = offsets[v + 1];
-      mine.push_work += end - begin;
-      const double scale = alpha * rv * inv_deg[v];
-      if (scale == 0.0 || begin == end) continue;  // dangling / underflow
-      // The (shard, seq) ordering keys — and with them the whole bit-identity
-      // argument — break silently if seq wraps, so fail loudly instead. One
-      // slice emitting 2^32 contributions in a round needs >4.29e9 edge
-      // traversals; raise min_parallel_support's shard count before relaxing.
-      LACA_CHECK(end - begin <=
-                     std::numeric_limits<uint32_t>::max() -
-                         static_cast<uint64_t>(seq),
-                 "sharded round overflowed its per-slice sequence counter");
-      for (EdgeIndex e = begin; e < end; ++e) {
-        double value;
-        if constexpr (Weighted) {
-          value = scale * weights[e];
-          if (value == 0.0) continue;
-        } else {
-          value = scale;
-        }
-        const NodeId u = adjacency[e];
-        mine.outgoing[OwnerShard(u, shards)].push_back({u, seq++, value});
-      }
-    }
-  };
-
-  auto apply_owned = [&](size_t o) {
-    DiffusionWorkspace::ThreadShard& mine = shard_state[o];
-    for (size_t s = 0; s < shards; ++s) {
-      for (const DiffusionWorkspace::ShardContribution& c :
-           shard_state[s].outgoing[o]) {
-        const double ru = r_next[c.target];
-        if (ru == 0.0) {
-          uint8_t append = 0;
-          if (stamp[c.target] != call_stamp) {
-            stamp[c.target] = call_stamp;
-            append = 1;
-          }
-          mine.touches.push_back(
-              {(static_cast<uint64_t>(s) << 32) | c.seq, c.target, append});
-        }
-        r_next[c.target] = ru + c.value;
-      }
-    }
-  };
-
-  TaskGroup group(*intra_pool_);
-  for (size_t s = 1; s < shards; ++s) {
-    group.Submit([&drain_slice, s] { drain_slice(s); });
-  }
-  drain_slice(0);
-  group.Wait();
-
-  // Slices partition the support contiguously, so concatenating the q
-  // discoveries in shard order reproduces the serial append order. Bounded
-  // by this round's shard count: shard_state is the workspace's high-water
-  // vector and may hold more (stale) entries than this round acquired.
-  for (size_t s = 0; s < shards; ++s) {
-    const DiffusionWorkspace::ThreadShard& shard = shard_state[s];
-    q_support.insert(q_support.end(), shard.q_appends.begin(),
-                     shard.q_appends.end());
-    *push_work += shard.push_work;
-  }
-
-  for (size_t o = 1; o < shards; ++o) {
-    group.Submit([&apply_owned, o] { apply_owned(o); });
-  }
-  apply_owned(0);
-  group.Wait();
-
-  // K-way merge of the per-owner touch lists (each key-sorted by
-  // construction) replays first touches in exact serial order: vol(r)
-  // accumulates in the serial FP sequence and the support appends match the
-  // serial kernel entry for entry. Touch counts are a small fraction of the
-  // scatter work, so this serial tail does not bound scaling.
-  size_t heads[kMaxIntraQueryShards] = {0};
-  for (;;) {
-    size_t best = shards;
-    uint64_t best_key = 0;
-    for (size_t o = 0; o < shards; ++o) {
-      if (heads[o] >= shard_state[o].touches.size()) continue;
-      const uint64_t key = shard_state[o].touches[heads[o]].key;
-      if (best == shards || key < best_key) {
-        best = o;
-        best_key = key;
-      }
-    }
-    if (best == shards) break;
-    const DiffusionWorkspace::ShardTouch& t =
-        shard_state[best].touches[heads[best]++];
-    if (TrackVolume) r_volume_ += deg[t.node];
-    if (t.append) support.push_back(t.node);
-  }
-
-  ws_->AuditShardAllocations();
 }
 
 SparseVector DiffusionEngine::Run(Mode mode, const SparseVector& f,
@@ -586,7 +386,6 @@ SparseVector DiffusionEngine::Run(Mode mode, const SparseVector& f,
     stats->nongreedy_rounds = nongreedy_rounds;
     stats->push_work = push_work;
     stats->nongreedy_cost = nongreedy_cost;
-    stats->r_volume = r_volume_;
   }
 
   std::vector<NodeId>& q_support = ws_->q_support();

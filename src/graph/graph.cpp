@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "common/error.hpp"
 
@@ -45,7 +46,33 @@ Graph::Graph(std::vector<EdgeIndex> offsets, std::vector<NodeId> adjacency,
   }
   for (double w : weights_) {
     LACA_CHECK(w > 0.0, "edge weights must be strictly positive");
+    LACA_CHECK(std::isfinite(w), "edge weights must be finite");
   }
+  // Undirected: every stored (v, u) needs its mirror (u, v) with the same
+  // weight. It suffices to match each upper entry (u > v) to a distinct
+  // lower entry of u's list, and to find as many upper as lower entries.
+  // Visiting v in increasing order feeds each u's list its lower entries in
+  // increasing order, so one cursor per node walks them: linear, with no
+  // per-edge search, and only the upper half needs the random access.
+  std::vector<EdgeIndex> cursor(offsets_.begin(), offsets_.end() - 1);
+  size_t upper = 0, lower = 0;
+  for (size_t v = 0; v < n; ++v) {
+    for (EdgeIndex e = offsets_[v]; e < offsets_[v + 1]; ++e) {
+      const NodeId u = adjacency_[e];
+      if (u <= v) {
+        lower += u < v;  // a self-loop is its own mirror
+        continue;
+      }
+      ++upper;
+      const EdgeIndex m = cursor[u]++;
+      LACA_CHECK(m < offsets_[u + 1] && adjacency_[m] == v,
+                 "adjacency must be symmetric: an edge lacks its mirror");
+      LACA_CHECK(weights_.empty() || weights_[m] == weights_[e],
+                 "edge weights must be symmetric");
+    }
+  }
+  LACA_CHECK(upper == lower,
+             "adjacency must be symmetric: an edge lacks its mirror");
 
   degree_.resize(n);
   degree_count_.resize(n);
@@ -56,6 +83,7 @@ Graph::Graph(std::vector<EdgeIndex> offsets, std::vector<NodeId> adjacency,
     } else {
       double d = 0.0;
       for (EdgeIndex e = offsets_[v]; e < offsets_[v + 1]; ++e) d += weights_[e];
+      LACA_CHECK(std::isfinite(d), "weighted degree overflows to infinity");
       degree_[v] = d;
     }
     total_volume_ += degree_[v];

@@ -9,8 +9,6 @@
 #include "common/cancel.hpp"
 #include "common/diffusion_workspace.hpp"
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
-#include "core/thread_budget.hpp"
 
 namespace laca {
 namespace {
@@ -86,17 +84,18 @@ ServingEngine::ServingEngine(std::shared_ptr<const DatasetSnapshot> snapshot,
     cache_ = std::make_unique<ResultCache>(opts.cache);
   }
 
-  const TwoLevelBudget budget = SplitThreadBudget(
-      opts.num_workers, opts.num_threads, opts.intra_query_threads);
-  workers_.reserve(budget.workers);
-  for (size_t w = 0; w < budget.workers; ++w) {
+  const size_t num_workers =
+      opts.num_workers != 0
+          ? opts.num_workers
+          : std::max<size_t>(1, std::thread::hardware_concurrency());
+  workers_.reserve(num_workers);
+  for (size_t w = 0; w < num_workers; ++w) {
     workers_.push_back(std::make_unique<Worker>());
   }
   size_t spawned = 0;
   try {
-    for (size_t w = 0; w < budget.workers; ++w) {
-      workers_[w]->thread = std::thread(
-          [this, w, threads = budget.per_worker[w]] { WorkerLoop(w, threads); });
+    for (size_t w = 0; w < num_workers; ++w) {
+      workers_[w]->thread = std::thread([this, w] { WorkerLoop(w); });
       ++spawned;
     }
   } catch (...) {
@@ -331,14 +330,13 @@ void ServingEngine::Reload(std::shared_ptr<const DatasetSnapshot> next) {
   if (cache_ != nullptr) cache_->RetainVersion(store_.Acquire()->version());
 }
 
-void ServingEngine::WorkerLoop(size_t w, size_t thread_budget) {
+void ServingEngine::WorkerLoop(size_t w) {
   // Warm per-worker state: one diffusion arena shared by one Laca per
   // prepared TNAM of the bound snapshot (same borrowed-workspace pattern as
-  // the bench harnesses), plus the intra-query helper pool when the thread
-  // budget allows. Built on this thread so fleet startup parallelizes; the
-  // snapshot was pre-validated, so only allocation can fail here.
+  // the bench harnesses). Built on this thread so fleet startup
+  // parallelizes; the snapshot was pre-validated, so only allocation can
+  // fail here.
   std::optional<DiffusionWorkspace> workspace;
-  std::optional<ThreadPool> helper;
   std::shared_ptr<const DatasetSnapshot> bound;
   std::vector<std::unique_ptr<Laca>> lacas;
   std::string init_error;
@@ -347,10 +345,10 @@ void ServingEngine::WorkerLoop(size_t w, size_t thread_budget) {
   // compute core only ever borrows it, so no per-request allocation.
   CancelToken cancel;
 
-  // (Re)binds the warm state to `snap`. The workspace and helper pool
-  // persist across rebinds (the arena re-sizes for the new graph and then
-  // reaches a new steady state); the Lacas are rebuilt because they pin the
-  // snapshot's graph/TNAM references. On failure the worker stays alive and
+  // (Re)binds the warm state to `snap`. The workspace persists across
+  // rebinds (the arena re-sizes for the new graph and then reaches a new
+  // steady state); the Lacas are rebuilt because they pin the snapshot's
+  // graph/TNAM references. On failure the worker stays alive and
   // degraded: it keeps claiming jobs and failing them explicitly, so
   // admitted futures are always fulfilled.
   auto bind = [&](std::shared_ptr<const DatasetSnapshot> snap) {
@@ -371,9 +369,6 @@ void ServingEngine::WorkerLoop(size_t w, size_t thread_budget) {
                                                  &*workspace));
         }
       }
-      if (helper) {
-        for (auto& laca : lacas) laca->SetIntraQueryPool(&*helper);
-      }
       bound = std::move(snap);
       init_error.clear();
     } catch (const std::exception& e) {
@@ -382,12 +377,7 @@ void ServingEngine::WorkerLoop(size_t w, size_t thread_budget) {
     }
   };
 
-  try {
-    if (thread_budget > 1) helper.emplace(thread_budget - 1);
-  } catch (const std::exception& e) {
-    init_error = std::string("worker initialization failed: ") + e.what();
-  }
-  if (init_error.empty()) bind(store_.Acquire());
+  bind(store_.Acquire());
 
   for (;;) {
     Job job;

@@ -16,9 +16,6 @@
 //     steady state after the first requests and then stays allocation-free —
 //     the alloc counter is exported through Stats() as the witness); after a
 //     reload, idle workers rebind to the new version off the request path;
-//   * the BatchCluster two-level thread budget (core/thread_budget.hpp):
-//     surplus threads become per-worker intra-query helper pools that shard
-//     big non-greedy diffusion rounds, bit-identically to serial;
 //   * a bounded admission queue with explicit backpressure: Submit() beyond
 //     max_queue_depth returns kOverloaded immediately — it never blocks and
 //     never grows the queue without bound;
@@ -135,13 +132,8 @@ struct ServeResponse {
 };
 
 struct ServingOptions {
-  /// Across-request worker fleet size; 0 = one worker per budgeted thread.
+  /// Worker fleet size, one thread per worker; 0 = hardware concurrency.
   size_t num_workers = 0;
-  /// Total thread budget (workers + intra-query helpers); 0 = hardware
-  /// concurrency. Split by SplitThreadBudget, like BatchCluster.
-  size_t num_threads = 0;
-  /// Per-worker intra-query ceiling (BatchClusterOptions semantics).
-  size_t intra_query_threads = 0;
   /// Admitted-but-unclaimed request bound. Submissions beyond it are
   /// rejected with kOverloaded (never queued, never blocked).
   size_t max_queue_depth = 1024;
@@ -352,7 +344,7 @@ class ServingEngine {
     std::atomic<uint64_t> alloc_events{0};
   };
 
-  void WorkerLoop(size_t w, size_t thread_budget) LACA_EXCLUDES(mu_);
+  void WorkerLoop(size_t w) LACA_EXCLUDES(mu_);
   ServeResponse Validate(const ServeRequest& request,
                          const DatasetSnapshot& snapshot,
                          size_t* tnam_index) const;

@@ -1,77 +1,15 @@
 #include "core/batch.hpp"
 
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "attr/tnam.hpp"
-#include "core/thread_budget.hpp"
 #include "eval/datasets.hpp"
 
 namespace laca {
 namespace {
-
-size_t TotalThreads(const TwoLevelBudget& budget) {
-  return std::accumulate(budget.per_worker.begin(), budget.per_worker.end(),
-                         size_t{0});
-}
-
-TEST(ThreadBudgetTest, OverrideIsClampedToTheTotalBudget) {
-  // Regression: the pre-split logic returned the intra_query_threads
-  // override unconditionally, so 16 workers x 4 threads ran 64 threads on
-  // an 8-thread budget. The combined fleet must never exceed the budget.
-  TwoLevelBudget budget = SplitThreadBudget(/*max_workers=*/16,
-                                            /*total_threads=*/8,
-                                            /*intra_override=*/4);
-  EXPECT_EQ(budget.workers, 8u);
-  EXPECT_LE(TotalThreads(budget), 8u);
-  for (size_t b : budget.per_worker) EXPECT_GE(b, 1u);
-}
-
-TEST(ThreadBudgetTest, AutoModeDistributesTheSurplus) {
-  // Few queries, big budget: the surplus becomes intra-query helpers,
-  // first workers get the remainder (PR 2 semantics, unchanged).
-  TwoLevelBudget budget = SplitThreadBudget(3, 8, 0);
-  EXPECT_EQ(budget.workers, 3u);
-  ASSERT_EQ(budget.per_worker.size(), 3u);
-  EXPECT_EQ(budget.per_worker[0], 3u);
-  EXPECT_EQ(budget.per_worker[1], 3u);
-  EXPECT_EQ(budget.per_worker[2], 2u);
-  EXPECT_EQ(TotalThreads(budget), 8u);
-}
-
-TEST(ThreadBudgetTest, OverrideActsAsACeilingNotAFloor) {
-  // Override below the fair share bounds each worker; leftover budget is
-  // deliberately left unused (the caller asked for the bound).
-  TwoLevelBudget capped = SplitThreadBudget(2, 8, 3);
-  EXPECT_EQ(capped.workers, 2u);
-  EXPECT_EQ(capped.per_worker[0], 3u);
-  EXPECT_EQ(capped.per_worker[1], 3u);
-
-  // Override of 1 forces serial queries regardless of surplus.
-  TwoLevelBudget serial = SplitThreadBudget(2, 16, 1);
-  EXPECT_EQ(serial.per_worker[0], 1u);
-  EXPECT_EQ(serial.per_worker[1], 1u);
-
-  // Tight budget: every worker still gets itself, nothing more.
-  TwoLevelBudget tight = SplitThreadBudget(16, 4, 4);
-  EXPECT_EQ(tight.workers, 4u);
-  EXPECT_EQ(TotalThreads(tight), 4u);
-}
-
-TEST(ThreadBudgetTest, ZeroDefaultsAreSane) {
-  // total 0 = hardware concurrency; max_workers 0 = one worker per thread.
-  TwoLevelBudget budget = SplitThreadBudget(0, 0, 0);
-  EXPECT_GE(budget.workers, 1u);
-  EXPECT_EQ(budget.per_worker.size(), budget.workers);
-  EXPECT_EQ(TotalThreads(budget), budget.workers);
-
-  TwoLevelBudget one = SplitThreadBudget(5, 1, 0);
-  EXPECT_EQ(one.workers, 1u);
-  EXPECT_EQ(one.per_worker[0], 1u);
-}
 
 class BatchClusterTest : public ::testing::Test {
  protected:
@@ -129,8 +67,7 @@ TEST_F(BatchClusterTest, ResultsIndependentOfThreadCount) {
 
 TEST_F(BatchClusterTest, MoreWorkersThanQueries) {
   // Regression: worker counts far above the query count must clamp cleanly
-  // (excess workers used to distort the static chunk sizing) and still
-  // answer every query exactly once.
+  // and still answer every query exactly once.
   std::vector<BatchQuery> queries = MakeQueries(3);
   BatchClusterOptions serial, oversized;
   serial.num_threads = 1;
@@ -139,86 +76,51 @@ TEST_F(BatchClusterTest, MoreWorkersThanQueries) {
       BatchCluster(ds_->data.graph, tnam_, queries, serial);
   EXPECT_EQ(BatchCluster(ds_->data.graph, tnam_, queries, oversized),
             expected);
-  oversized.schedule = BatchSchedule::kStaticChunk;
-  EXPECT_EQ(BatchCluster(ds_->data.graph, tnam_, queries, oversized),
-            expected);
 }
 
-TEST_F(BatchClusterTest, SchedulersAgreeAcrossWorkerCounts) {
+TEST_F(BatchClusterTest, WorkerCountFollowsTheBudget) {
+  // The batch runs min(queries, num_threads) workers, 0 = hardware
+  // concurrency. Budgets below, equal to and above the query count, and the
+  // default, must all give the serial answers.
   std::vector<BatchQuery> queries = MakeQueries(11);
   BatchClusterOptions base;
   base.num_threads = 1;
   std::vector<std::vector<NodeId>> expected =
       BatchCluster(ds_->data.graph, tnam_, queries, base);
-  for (size_t threads : {0u, 1u, 2u, 5u, 16u}) {
-    for (BatchSchedule schedule :
-         {BatchSchedule::kDynamic, BatchSchedule::kStaticChunk}) {
-      BatchClusterOptions opts;
-      opts.num_threads = threads;
-      opts.schedule = schedule;
-      EXPECT_EQ(BatchCluster(ds_->data.graph, tnam_, queries, opts), expected)
-          << "threads=" << threads << " schedule=" << static_cast<int>(schedule);
-    }
+  for (size_t threads : {0u, 1u, 2u, 5u, 11u, 16u}) {
+    BatchClusterOptions opts;
+    opts.num_threads = threads;
+    EXPECT_EQ(BatchCluster(ds_->data.graph, tnam_, queries, opts), expected)
+        << "threads=" << threads;
   }
 }
 
-TEST_F(BatchClusterTest, TwoLevelSchedulingMatchesSerial) {
-  // Fewer queries than threads: the surplus becomes per-worker intra-query
-  // helper pools. With the sharding threshold forced to 1 every non-greedy
-  // round runs sharded, and results must stay bit-identical to the serial
-  // single-thread answers.
+TEST_F(BatchClusterTest, SurplusThreadsChangeNothing) {
+  // Fewer queries than threads: one worker per query, the surplus idles.
+  // Results must stay bit-identical to the serial single-thread answers.
   std::vector<BatchQuery> queries = MakeQueries(3);
   BatchClusterOptions serial;
   serial.num_threads = 1;
-  serial.intra_query_threads = 1;
   std::vector<std::vector<NodeId>> expected =
       BatchCluster(ds_->data.graph, tnam_, queries, serial);
 
   for (size_t total : {8u, 12u}) {
-    for (BatchSchedule schedule :
-         {BatchSchedule::kDynamic, BatchSchedule::kStaticChunk}) {
-      BatchClusterOptions opts;
-      opts.num_threads = total;  // 3 workers, budgets {3,3,2} / {4,4,4}
-      opts.schedule = schedule;
-      opts.laca.min_parallel_support = 1;
-      EXPECT_EQ(BatchCluster(ds_->data.graph, tnam_, queries, opts), expected)
-          << "total=" << total << " schedule=" << static_cast<int>(schedule);
-    }
+    BatchClusterOptions opts;
+    opts.num_threads = total;
+    EXPECT_EQ(BatchCluster(ds_->data.graph, tnam_, queries, opts), expected)
+        << "total=" << total;
   }
 }
 
-TEST_F(BatchClusterTest, SingleQueryUsesWholeBudget) {
-  // The big-graph regime of Fig. 10: one query, many threads. The whole
-  // budget flows to one worker's intra-query pool; the answer must match
-  // the serial one exactly.
+TEST_F(BatchClusterTest, SingleQueryWithWideBudget) {
+  // The big-graph regime of Fig. 10: one query, many threads. It runs on
+  // one serial worker; the answer must match the serial one exactly.
   std::vector<BatchQuery> queries = MakeQueries(1);
   BatchClusterOptions serial, wide;
   serial.num_threads = 1;
-  serial.intra_query_threads = 1;
   wide.num_threads = 8;
-  wide.laca.min_parallel_support = 1;
   EXPECT_EQ(BatchCluster(ds_->data.graph, tnam_, queries, wide),
             BatchCluster(ds_->data.graph, tnam_, queries, serial));
-}
-
-TEST_F(BatchClusterTest, ExplicitIntraQueryBudgetOverride) {
-  std::vector<BatchQuery> queries = MakeQueries(4);
-  BatchClusterOptions serial, forced, capped;
-  serial.num_threads = 1;
-  serial.intra_query_threads = 1;
-  std::vector<std::vector<NodeId>> expected =
-      BatchCluster(ds_->data.graph, tnam_, queries, serial);
-  // Budget 8 over 4 queries with a ceiling of 2: 4 workers x 1 helper each.
-  forced.num_threads = 8;
-  forced.intra_query_threads = 2;
-  forced.laca.min_parallel_support = 1;
-  EXPECT_EQ(BatchCluster(ds_->data.graph, tnam_, queries, forced), expected);
-  // An override above the budget is clamped (2 workers, no helpers), and
-  // results stay bit-identical either way.
-  capped.num_threads = 2;
-  capped.intra_query_threads = 3;
-  capped.laca.min_parallel_support = 1;
-  EXPECT_EQ(BatchCluster(ds_->data.graph, tnam_, queries, capped), expected);
 }
 
 TEST_F(BatchClusterTest, WithoutSnasMode) {

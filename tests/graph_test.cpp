@@ -4,6 +4,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -118,6 +122,46 @@ TEST(GraphTest, RawCsrValidation) {
   EXPECT_THROW(Graph({0, 2, 3, 4}, {2, 1, 0, 0}, {}), std::invalid_argument);
   // negative weight.
   EXPECT_THROW(Graph({0, 1, 2}, {1, 0}, {-1.0, -1.0}), std::invalid_argument);
+}
+
+// Asserts that constructing the CSR throws invalid_argument naming `fault`.
+void ExpectRejected(std::vector<EdgeIndex> offsets,
+                    std::vector<NodeId> adjacency, std::vector<double> weights,
+                    const std::string& fault) {
+  try {
+    Graph g(std::move(offsets), std::move(adjacency), std::move(weights));
+    ADD_FAILURE() << "accepted a CSR with fault: " << fault;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(fault), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GraphTest, RawCsrMustBeSymmetric) {
+  // Node 0 lists 1 and 2, but neither lists 0 back: this used to build with
+  // deg(1) = deg(2) = 0.
+  ExpectRejected({0, 2, 2, 2}, {1, 2}, {}, "symmetric");
+  // Every node has one entry, but the edges point one way round a 4-cycle.
+  ExpectRejected({0, 1, 2, 3, 4}, {1, 2, 3, 0}, {}, "symmetric");
+  // Nodes 1 and 2 list 0, but 0 lists nothing.
+  ExpectRejected({0, 0, 1, 2}, {0, 0}, {}, "symmetric");
+  // Mirrors exist, but their weights differ.
+  ExpectRejected({0, 1, 2}, {1, 0}, {1.0, 2.0}, "weights must be symmetric");
+  // A valid raw CSR (path 0-1-2, weighted) still builds.
+  Graph g({0, 1, 3, 4}, {1, 0, 2, 1}, {0.5, 0.5, 2.0, 2.0});
+  EXPECT_DOUBLE_EQ(g.Degree(1), 2.5);
+}
+
+TEST(GraphTest, RawCsrWeightsMustBeFinite) {
+  const double inf = std::numeric_limits<double>::infinity();
+  ExpectRejected({0, 1, 2}, {1, 0}, {inf, inf}, "finite");
+  ExpectRejected({0, 1, 2}, {1, 0},
+                 {std::numeric_limits<double>::quiet_NaN(), 1.0},
+                 "strictly positive");
+  // Finite weights whose sum overflows would give deg = inf all the same.
+  const double big = std::numeric_limits<double>::max();
+  ExpectRejected({0, 2, 3, 4}, {1, 2, 0, 0}, {big, big, big, big},
+                 "infinity");
 }
 
 TEST(GraphTest, Fig4ExampleDegrees) {

@@ -91,7 +91,6 @@ class ServingCacheTest : public ::testing::Test {
   static ServingOptions WithWorkers(size_t workers, CacheMode mode) {
     ServingOptions opts;
     opts.num_workers = workers;
-    opts.num_threads = workers;
     opts.cache.mode = mode;
     return opts;
   }

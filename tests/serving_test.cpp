@@ -96,7 +96,6 @@ class ServingTest : public ::testing::Test {
   static ServingOptions WithWorkers(size_t workers) {
     ServingOptions opts;
     opts.num_workers = workers;
-    opts.num_threads = workers;
     return opts;
   }
 

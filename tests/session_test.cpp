@@ -189,7 +189,6 @@ class SessionTest : public ::testing::Test {
   static ServingOptions WithWorkers(size_t workers) {
     ServingOptions opts;
     opts.num_workers = workers;
-    opts.num_threads = workers;
     return opts;
   }
 

@@ -18,6 +18,9 @@
 //     trusted before it was bounded — the allocation-bomb class.
 //   - An accepted graph re-saves and re-loads to the same topology (the
 //     container format round-trips what it validated).
+//   - An accepted graph satisfies the paper's model: undirected (every
+//     stored edge has a mirror of equal weight) with finite degrees.
+#include <cmath>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -30,6 +33,25 @@
 namespace {
 
 constexpr size_t kMaxBody = 1 << 15;
+
+// Checks the model invariants of an accepted graph with lookups independent
+// of the decoder's own validation.
+void CheckGraphModel(const laca::Graph& graph,
+                     std::span<const uint8_t> input) {
+  for (laca::NodeId v = 0; v < graph.num_nodes(); ++v) {
+    if (!std::isfinite(graph.Degree(v))) {
+      laca::fuzz_harness::Die("fuzz_serialize", input,
+                              "accepted a graph with an infinite degree");
+    }
+    for (laca::NodeId u : graph.Neighbors(v)) {
+      if (!graph.HasEdge(u, v) ||
+          graph.EdgeWeight(u, v) != graph.EdgeWeight(v, u)) {
+        laca::fuzz_harness::Die("fuzz_serialize", input,
+                                "accepted an asymmetric graph");
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -62,6 +84,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     switch (which) {
       case 0: {
         laca::Graph graph = laca::LoadGraphBinary(path);
+        CheckGraphModel(graph, input);
         // Round-trip: what the validator accepted must re-save and re-load
         // to the identical topology.
         const std::string again = ScratchDir("fuzz_serialize") + "/again.laca";
@@ -85,7 +108,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         (void)laca::LoadCommunitiesBinary(path, laca::NodeId{8});
         break;
       default:
-        (void)laca::LoadDatasetBinary(path);
+        CheckGraphModel(laca::LoadDatasetBinary(path).graph, input);
         break;
     }
   } catch (const std::invalid_argument&) {

@@ -220,6 +220,16 @@ def main():
     # (heap-buffer-overflow under ASan).
     write("fuzz_serialize", "regression-graph-offset-oob.bin",
           u8(0x04) + u32(2) + u8(0) + u64(0) + u64(0) + u64(2) + u64(0))
+    # The Graph constructor accepted an asymmetric CSR: node 0 lists 1 and 2,
+    # neither lists 0 back, and the graph built with deg(1) = deg(2) = 0.
+    write("fuzz_serialize", "regression-graph-asymmetric.bin",
+          u8(0x04) + u32(3) + u8(0) + u64(2) +
+          u64(0) + u64(2) + u64(2) + u64(2) + u32(1) + u32(2))
+    # The Graph constructor accepted +inf edge weights (`w > 0` holds for
+    # inf), giving deg = inf.
+    write("fuzz_serialize", "regression-graph-inf-weight.bin",
+          u8(0x04) + u32(2) + u8(1) + u64(2) + u64(0) + u64(1) + u64(2) +
+          u32(1) + u32(0) + f64(float("inf")) + f64(float("inf")))
 
     # -- fuzz_tnam: mode byte + container/payload ---------------------------
     # mode bit 0: wrap as kTnam container; bit 1: expected_rows=8 overload.

@@ -781,7 +781,7 @@ int RunChaos(const ChaosOptions& opts) {
     storm_over.store(true);
     sampler.join();
 
-    // 16 sessions + 2 workers + intra helpers + accept/reload/main: a leak
+    // 16 sessions + 2 workers + accept/reload/main, with headroom: a leak
     // under the reconnect-heavy storm would blow far past this.
     verdict.Check(verdict.Count("max_server_threads") <= 48,
                   "storm: server thread count exceeded its bound: " +

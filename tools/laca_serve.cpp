@@ -32,9 +32,9 @@
 //                                              (manifest + components; see
 //                                              src/data/snapshot_io.hpp)
 //
-//   --workers=N      across-request worker fleet (default: thread budget)
-//   --threads=N      total thread budget incl. helpers (default: hardware)
-//   --intra=N        per-worker intra-query thread ceiling (default: auto)
+//   --workers=N      across-request worker fleet (default: --threads)
+//   --threads=N      cap on the worker fleet; each worker answers one
+//                    request at a time on one thread (default: hardware)
 //   --queue=N        admission queue depth; beyond it requests are rejected
 //                    with ERR code=overloaded (default 1024)
 //   --k=K[,K2,...]   TNAM dimensions to prepare; requests select one with
@@ -154,6 +154,7 @@ struct ServeCliOptions {
   std::vector<std::string> tnam_paths;
   ServingOptions serving;
   ReloadManagerOptions reload;
+  size_t threads = 0;  // worker cap; 0 = hardware concurrency
   ServeCliOptions() {
     // The engine's own default is kOff (library callers opt in); the binary
     // serves repeated interactive traffic, where the cache is the point.
@@ -222,11 +223,7 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions& opts) {
     } else if (key == "--workers") {
       if (!u64(&opts.serving.num_workers)) return FailFlag(arg, "bad count");
     } else if (key == "--threads") {
-      if (!u64(&opts.serving.num_threads)) return FailFlag(arg, "bad count");
-    } else if (key == "--intra") {
-      if (!u64(&opts.serving.intra_query_threads)) {
-        return FailFlag(arg, "bad count");
-      }
+      if (!u64(&opts.threads)) return FailFlag(arg, "bad count");
     } else if (key == "--queue") {
       if (!u64(&opts.serving.max_queue_depth) ||
           opts.serving.max_queue_depth == 0) {
@@ -327,6 +324,13 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions& opts) {
       return FailFlag(arg, "unknown flag");
     }
   }
+  const size_t threads =
+      opts.threads != 0
+          ? opts.threads
+          : std::max<size_t>(1, std::thread::hardware_concurrency());
+  opts.serving.num_workers = opts.serving.num_workers == 0
+                                 ? threads
+                                 : std::min(opts.serving.num_workers, threads);
   if (opts.serving.brownout_enter_fraction > 0.0 && !brownout_exit_given) {
     // A usable hysteresis gap by default: recover well below the entry
     // threshold so the shed/recover boundary cannot flap.
@@ -737,7 +741,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s (--gen=<name> | --edges=<path> [--attrs=<path>] "
                  "| --snapshot-dir=<dir>) [--workers=] [--threads=] "
-                 "[--intra=] [--queue=] [--k=] [--tnam=] [--alpha=] [--eps=] "
+                 "[--queue=] [--k=] [--tnam=] [--alpha=] [--eps=] "
                  "[--default-timeout=] [--brownout=] [--reload-retry=] "
                  "[--cache=off|full|two-tier] [--cache-bytes=] "
                  "[--cache-shards=] "
