@@ -8,18 +8,54 @@
 
 namespace laca {
 
+namespace {
+
+using Entry = SparseVector::Entry;
+
+// Value descending, NodeId ascending: SortByValueDesc's order. A total order
+// on compacted entries (indices are unique), so any selection algorithm
+// finds the same top entries in the same order.
+bool RanksBefore(const Entry& a, const Entry& b) {
+  if (a.value != b.value) return a.value > b.value;
+  return a.index < b.index;
+}
+
+// True when Compact() would leave `entries` unchanged: strictly ascending
+// indices (hence no duplicates) and no exact zeros. Diffusion outputs are
+// built this way, so the common case skips compaction's index sort.
+bool IsCompact(const std::vector<Entry>& entries) {
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].value == 0.0) return false;
+    if (i > 0 && entries[i - 1].index >= entries[i].index) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 std::vector<NodeId> TopKCluster(const SparseVector& scores, NodeId seed,
                                 size_t size) {
   LACA_CHECK(size >= 1, "cluster size must be >= 1");
-  SparseVector sorted = scores;
-  sorted.SortByValueDesc();
+  std::vector<Entry> ranked;
+  if (IsCompact(scores.entries())) {
+    ranked = scores.entries();
+  } else {
+    SparseVector compacted = scores;
+    compacted.Compact();
+    ranked = std::move(compacted.mutable_entries());
+  }
+  // Only the `size` best entries can reach the cluster: if the seed is among
+  // them it takes one of the slots, otherwise the best size-1 fill them. So
+  // select that prefix and sort only it.
+  const size_t top = std::min(size, ranked.size());
+  std::nth_element(ranked.begin(), ranked.begin() + top, ranked.end(),
+                   RanksBefore);
+  std::sort(ranked.begin(), ranked.begin() + top, RanksBefore);
   std::vector<NodeId> cluster;
   cluster.reserve(size);
   cluster.push_back(seed);
-  for (const auto& e : sorted.entries()) {
-    if (cluster.size() >= size) break;
-    if (e.index == seed) continue;
-    cluster.push_back(e.index);
+  for (size_t i = 0; i < top && cluster.size() < size; ++i) {
+    if (ranked[i].index != seed) cluster.push_back(ranked[i].index);
   }
   return cluster;
 }

@@ -164,7 +164,8 @@ ServeResponse ServingEngine::Validate(const ServeRequest& req,
   return resp;
 }
 
-Admission ServingEngine::Submit(const ServeRequest& request) {
+Admission ServingEngine::Submit(const ServeRequest& request,
+                                std::function<void()> on_ready) {
   Admission admission;
   const Clock::time_point arrived_at = Clock::now();
   // Pin the active version for this request's whole lifetime: validation,
@@ -206,9 +207,9 @@ Admission ServingEngine::Submit(const ServeRequest& request) {
         resp.total_seconds = Seconds(Clock::now() - arrived_at);
         RecordPassiveCompletionLocked(resp);
       }
-      std::promise<ServeResponse> ready;
-      admission.response = ready.get_future();
-      ready.set_value(std::move(resp));
+      Completion ready{{}, std::move(on_ready)};
+      admission.response = ready.promise.get_future();
+      ready.Resolve(std::move(resp));
       admission.status = ServeStatus::kOk;
       return admission;
     }
@@ -241,7 +242,8 @@ Admission ServingEngine::Submit(const ServeRequest& request) {
                                std::chrono::duration<double, std::milli>(
                                    budget_ms));
         }
-        future = waiter.promise.get_future();
+        waiter.completion.on_ready = std::move(on_ready);
+        future = waiter.completion.promise.get_future();
         flight->second.waiters.push_back(std::move(waiter));
         ++admitted_;
         ++coalesced_;
@@ -301,7 +303,8 @@ Admission ServingEngine::Submit(const ServeRequest& request) {
                                 std::chrono::duration<double, std::milli>(
                                     budget_ms));
     }
-    future = job.promise.get_future();
+    job.completion.on_ready = std::move(on_ready);
+    future = job.completion.promise.get_future();
     queue_.push_back(std::move(job));
     ++admitted_;
   }
@@ -422,7 +425,7 @@ void ServingEngine::WorkerLoop(size_t w) {
       // A shed leader must not strand its followers: promotion turns the
       // oldest live waiter into the new leader (ResolveFlight non-kOk path).
       if (job.lead) ResolveFlight(job, resp);
-      job.promise.set_value(std::move(resp));
+      job.completion.Resolve(std::move(resp));
       continue;
     }
     if (opts_.worker_hook) opts_.worker_hook();
@@ -527,7 +530,7 @@ void ServingEngine::WorkerLoop(size_t w) {
     // as the reset above), followers are released or one is promoted, and
     // on kOk the full-tier entry is published for future admissions.
     if (job.lead) ResolveFlight(job, resp);
-    job.promise.set_value(std::move(resp));
+    job.completion.Resolve(std::move(resp));
   }
 }
 
@@ -631,7 +634,7 @@ void ServingEngine::ResolveFlight(Job& job, const ServeResponse& resp) {
                     std::make_shared<const std::vector<NodeId>>(resp.cluster));
   }
   const Clock::time_point now = Clock::now();
-  std::vector<std::pair<std::promise<ServeResponse>, ServeResponse>> ready;
+  std::vector<std::pair<Completion, ServeResponse>> ready;
   bool promoted = false;
   {
     MutexLock lock(mu_);
@@ -654,7 +657,7 @@ void ServingEngine::ResolveFlight(Job& job, const ServeResponse& resp) {
         follower.queue_seconds = waited;
         follower.total_seconds = waited;
         RecordPassiveCompletionLocked(follower);
-        ready.emplace_back(std::move(w.promise), std::move(follower));
+        ready.emplace_back(std::move(w.completion), std::move(follower));
       }
       // Erasing the flight drops its snapshot reference — same retired-
       // version drain guarantee as the worker's own snapshot release.
@@ -677,7 +680,7 @@ void ServingEngine::ResolveFlight(Job& job, const ServeResponse& resp) {
           follower.queue_seconds = waited;
           follower.total_seconds = waited;
           RecordPassiveCompletionLocked(follower);
-          ready.emplace_back(std::move(w.promise), std::move(follower));
+          ready.emplace_back(std::move(w.completion), std::move(follower));
         } else {
           live.push_back(std::move(w));
         }
@@ -690,7 +693,7 @@ void ServingEngine::ResolveFlight(Job& job, const ServeResponse& resp) {
         successor.request = flight.request;
         successor.snapshot = flight.snapshot;
         successor.tnam_index = flight.tnam_index;
-        successor.promise = std::move(next.promise);
+        successor.completion = std::move(next.completion);
         successor.admitted_at = next.admitted_at;
         successor.deadline = next.deadline;
         successor.has_deadline = next.has_deadline;
@@ -704,10 +707,10 @@ void ServingEngine::ResolveFlight(Job& job, const ServeResponse& resp) {
     }
   }
   if (promoted) work_ready_.NotifyOne();
-  // Promises are fulfilled outside mu_: a continuation blocking on a
-  // future must never run under the admission lock.
-  for (auto& [promise, response] : ready) {
-    promise.set_value(std::move(response));
+  // Completions resolve outside mu_: neither a continuation blocking on a
+  // future nor an on-ready callback may run under the admission lock.
+  for (auto& [completion, response] : ready) {
+    completion.Resolve(std::move(response));
   }
 }
 
@@ -771,7 +774,7 @@ void ServingEngine::Shutdown() {
   // this should find nothing. If an invariant ever breaks, admitted waiter
   // futures must still be fulfilled — a stranded future is the one failure
   // mode this layer promises away.
-  std::vector<std::pair<std::promise<ServeResponse>, ServeResponse>> stranded;
+  std::vector<std::pair<Completion, ServeResponse>> stranded;
   {
     MutexLock lock(mu_);
     for (auto& [key, flight] : flights_) {
@@ -780,13 +783,13 @@ void ServingEngine::Shutdown() {
         resp.status = ServeStatus::kShuttingDown;
         resp.error = "engine shut down before the coalesced result arrived";
         RecordPassiveCompletionLocked(resp);
-        stranded.emplace_back(std::move(w.promise), std::move(resp));
+        stranded.emplace_back(std::move(w.completion), std::move(resp));
       }
     }
     flights_.clear();
   }
-  for (auto& [promise, response] : stranded) {
-    promise.set_value(std::move(response));
+  for (auto& [completion, response] : stranded) {
+    completion.Resolve(std::move(response));
   }
 }
 

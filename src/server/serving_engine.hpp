@@ -269,7 +269,14 @@ class ServingEngine {
   /// future is always fulfilled, including across Shutdown(). The request
   /// is validated against — and pinned to — the snapshot version active at
   /// admission.
-  Admission Submit(const ServeRequest& request);
+  ///
+  /// `on_ready`, if set, runs exactly once per ADMITTED request, after its
+  /// future is ready and outside the engine lock (on a worker thread, or
+  /// inside this call for a cache hit); a rejected request never runs it.
+  /// It must not throw and must not block: it exists so a caller waiting on
+  /// other events (a session in poll(2)) learns that an answer is ready.
+  Admission Submit(const ServeRequest& request,
+                   std::function<void()> on_ready = {});
 
   /// Publishes `next` as the active snapshot (RCU swap; throws
   /// std::invalid_argument unless its version strictly advances). New
@@ -296,13 +303,26 @@ class ServingEngine {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// Fulfils one admitted request: its promise plus the caller's optional
+  /// on-ready callback. Every fulfilment site goes through Resolve(), so
+  /// the callback runs exactly once, after the future is ready; callers
+  /// invoke it outside mu_.
+  struct Completion {
+    std::promise<ServeResponse> promise;
+    std::function<void()> on_ready;
+    void Resolve(ServeResponse resp) {
+      promise.set_value(std::move(resp));
+      if (on_ready) on_ready();
+    }
+  };
+
   struct Job {
     ServeRequest request;
     /// The snapshot this request was validated against; the worker computes
     /// on it even if a newer version was published meanwhile.
     std::shared_ptr<const DatasetSnapshot> snapshot;
     size_t tnam_index = 0;
-    std::promise<ServeResponse> promise;
+    Completion completion;
     Clock::time_point admitted_at;
     /// Absolute deadline (admitted_at + resolved budget) when has_deadline.
     Clock::time_point deadline;
@@ -318,7 +338,7 @@ class ServingEngine {
   /// future resolves from the leader's computation. Keeps only its own
   /// timing/deadline — the canonical inputs live in the Flight.
   struct Waiter {
-    std::promise<ServeResponse> promise;
+    Completion completion;
     Clock::time_point admitted_at;
     Clock::time_point deadline;
     bool has_deadline = false;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <thread>
@@ -24,10 +25,12 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
-// Poll granularity: the latency bound on noticing a stop flag, an expired
-// deadline, or a response that became ready while waiting for bytes (or
-// buffer space). Small enough that lockstep clients see low added latency,
-// large enough that an idle session is effectively free.
+// Poll granularity: the latency bound on noticing a stop flag or an expired
+// deadline, on draining a full write buffer, and on delivering an answer
+// when the reader has no waker (or for reload responses, which resolve
+// without one). Completed requests wake the reader directly, so this tick
+// is not on the answer path; it stays large enough that an idle session is
+// effectively free.
 constexpr int kPollTickMs = 20;
 
 double ElapsedMs(SteadyClock::time_point since) {
@@ -42,30 +45,6 @@ void LineWriter::MaybeStallSend() {
     if (fi->ShouldFire(FaultSite::kSendStall)) {
       std::this_thread::sleep_for(fi->stall_duration());
     }
-  }
-}
-
-ReadStatus StdioLineReader::Next(std::string* line) {
-  line->clear();
-  char buf[4096];
-  for (;;) {
-    if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) {
-      return ReadStatus::kEof;  // SIGTERM drain: finish pending, close
-    }
-    if (std::fgets(buf, sizeof(buf), in_) == nullptr) {
-      if (std::ferror(in_) && errno == EINTR) {
-        std::clearerr(in_);
-        continue;  // the loop re-checks the stop flag before retrying
-      }
-      return line->empty() ? ReadStatus::kEof : ReadStatus::kLine;
-    }
-    line->append(buf);
-    if (!line->empty() && line->back() == '\n') {
-      line->pop_back();
-      return line->size() > max_line_bytes_ ? ReadStatus::kOverlong
-                                            : ReadStatus::kLine;
-    }
-    if (line->size() > max_line_bytes_) return ReadStatus::kOverlong;
   }
 }
 
@@ -85,13 +64,68 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+// Shared between a reader and every on-ready callback it handed out, so a
+// completion that lands after the session ended writes to a still-open
+// pipe. Both ends are non-blocking and close-on-exec.
+class SessionWaker {
+ public:
+  /// Null when the pipe cannot be made (EMFILE and friends); the session
+  /// then falls back to tick-driven delivery.
+  static std::shared_ptr<SessionWaker> Create() {
+    int fds[2] = {-1, -1};
+    if (::pipe2(fds, O_NONBLOCK | O_CLOEXEC) != 0) return nullptr;
+    try {
+      return std::make_shared<SessionWaker>(fds[0], fds[1]);
+    } catch (...) {
+      ::close(fds[0]);
+      ::close(fds[1]);
+      return nullptr;
+    }
+  }
+  SessionWaker(int read_fd, int write_fd)
+      : read_fd_(read_fd), write_fd_(write_fd) {}
+  SessionWaker(const SessionWaker&) = delete;
+  SessionWaker& operator=(const SessionWaker&) = delete;
+  ~SessionWaker() {
+    ::close(read_fd_);
+    ::close(write_fd_);
+  }
+
+  /// Makes read_fd() readable. A full pipe (EAGAIN) is already readable.
+  void Notify() {
+    const char byte = 1;
+    while (::write(write_fd_, &byte, 1) < 0 && errno == EINTR) {
+    }
+  }
+  /// Empties the pipe, so the next poll(2) blocks until the next Notify().
+  void Drain() {
+    char sink[256];
+    for (;;) {
+      const ssize_t n = ::read(read_fd_, sink, sizeof(sink));
+      if (n > 0 || (n < 0 && errno == EINTR)) continue;
+      return;  // EAGAIN: empty
+    }
+  }
+  int read_fd() const { return read_fd_; }
+
+ private:
+  const int read_fd_;
+  const int write_fd_;
+};
+
 FdLineReader::FdLineReader(int fd, size_t max_line_bytes,
                            ReadDeadlines deadlines,
                            const std::atomic<bool>* stop)
-    : LineReader(max_line_bytes),
-      fd_(fd),
+    : fd_(fd),
+      max_line_bytes_(max_line_bytes),
       deadlines_(deadlines),
-      stop_(stop) {}
+      stop_(stop),
+      waker_(SessionWaker::Create()) {}
+
+std::function<void()> FdLineReader::ReadyCallback() {
+  if (waker_ == nullptr) return {};
+  return [waker = waker_] { waker->Notify(); };
+}
 
 ReadStatus FdLineReader::Next(std::string* line) {
   line->clear();
@@ -142,10 +176,16 @@ ReadStatus FdLineReader::Next(std::string* line) {
       wait_ms = std::min(wait_ms, static_cast<int>(std::ceil(remaining)));
     }
 
-    pollfd pfd{};
-    pfd.fd = fd_;
-    pfd.events = POLLIN;
-    const int pr = ::poll(&pfd, 1, wait_ms);
+    pollfd pfds[2]{};
+    pfds[0].fd = fd_;
+    pfds[0].events = POLLIN;
+    nfds_t nfds = 1;
+    if (waker_ != nullptr) {
+      pfds[1].fd = waker_->read_fd();
+      pfds[1].events = POLLIN;
+      nfds = 2;
+    }
+    const int pr = ::poll(pfds, nfds, wait_ms);
     if (pr < 0) {
       if (errno == EINTR) return ReadStatus::kAgain;  // caller re-checks
       eof_ = true;  // unpollable descriptor = stream over
@@ -153,6 +193,12 @@ ReadStatus FdLineReader::Next(std::string* line) {
     }
     if (pr == 0) {
       return ReadStatus::kAgain;  // tick: let the session flush responses
+    }
+    if (nfds == 2 && pfds[1].revents != 0) {
+      // A request completed: return so the session writes it now. The line
+      // and idle anchors stay armed, so a wakeup never extends a deadline.
+      waker_->Drain();
+      return ReadStatus::kAgain;
     }
 
     char chunk[4096];
@@ -214,10 +260,8 @@ bool FdLineWriter::Write(const std::string& line) {
   return true;
 }
 
-#endif  // __unix__
-
 SessionResult RunSession(ServingEngine& engine, const SessionHooks& hooks,
-                         LineReader& in, LineWriter& out,
+                         FdLineReader& in, LineWriter& out,
                          const SessionLimits& limits) {
   using End = SessionResult::End;
   struct Pending {
@@ -233,6 +277,9 @@ SessionResult RunSession(ServingEngine& engine, const SessionHooks& hooks,
                                  : engine.num_workers() * 4 + 256;
   SessionResult result;
   bool muted = false;  // peer unreachable or session killed: drain silently
+  // Handed to every Submit: a finished request wakes the reader, so its
+  // answer is written now rather than at the next poll tick.
+  const std::function<void()> on_ready = in.ReadyCallback();
 
   auto render_reload = [](uint64_t id, ReloadOutcome r) {
     if (r.ok) return FormatReloadResponse(id, r.version);
@@ -277,8 +324,8 @@ SessionResult RunSession(ServingEngine& engine, const SessionHooks& hooks,
   for (;;) {
     const ReadStatus rs = in.Next(&line);
     if (rs == ReadStatus::kAgain) {
-      // Idle tick: emit whatever became ready so a client waiting in
-      // request/response lockstep gets its answer without sending more.
+      // Wakeup or idle tick: emit whatever became ready so a client waiting
+      // in request/response lockstep gets its answer without sending more.
       flush_ready(/*all=*/false);
       if (!muted && !out.ok()) {
         muted = true;
@@ -372,7 +419,7 @@ SessionResult RunSession(ServingEngine& engine, const SessionHooks& hooks,
         break;
       }
       case ParsedLine::Kind::kRequest: {
-        Admission admission = engine.Submit(parsed.request);
+        Admission admission = engine.Submit(parsed.request, on_ready);
         if (admission.ok()) {
           p.response = std::move(admission.response);
         } else {
@@ -401,5 +448,7 @@ SessionResult RunSession(ServingEngine& engine, const SessionHooks& hooks,
   flush_ready(/*all=*/true);
   return result;
 }
+
+#endif  // __unix__
 
 }  // namespace laca

@@ -6,7 +6,7 @@
 // tests against the real session loop, not a re-implementation.
 //
 // The session reads protocol lines (server/protocol.hpp) through a
-// LineReader and emits exactly one response line per request through a
+// FdLineReader and emits exactly one response line per request through a
 // LineWriter, strictly in request order; a bounded pending window keeps
 // reading ahead of the slowest in-flight request. The reader enforces the
 // untrusted-input bounds:
@@ -23,6 +23,12 @@
 //   * a stop flag checked every poll tick, so SIGTERM drain reaches
 //     sessions blocked in a read.
 //
+// Responses are written the moment they complete: the reader's self-pipe
+// waker hands RunSession an on-ready callback, the session passes it to
+// every ServingEngine::Submit, and the engine's completion wakes the
+// reader out of poll(2) so the session flushes at once instead of at the
+// next tick.
+//
 // Writers carry their own stall budget: a peer that stops draining its
 // receive buffer fails the write within write_timeout_ms and the session
 // stops emitting — but every already-admitted future is still consumed
@@ -37,6 +43,7 @@
 #include <cstdio>
 #include <functional>
 #include <future>
+#include <memory>
 #include <string>
 
 #include "server/reload_manager.hpp"
@@ -44,27 +51,14 @@
 
 namespace laca {
 
-/// Outcome of one LineReader::Next call.
+/// Outcome of one FdLineReader::Next call.
 enum class ReadStatus : uint8_t {
   kLine,      ///< `line` holds the next line, terminator stripped
-  kAgain,     ///< no complete line yet; the session flushes ready
-              ///< responses and calls Next again (tick-driven readers)
+  kAgain,     ///< no complete line yet (a tick or a completion wakeup);
+              ///< the session flushes ready responses and calls Next again
   kEof,       ///< orderly end of stream (or stop flag raised)
   kOverlong,  ///< the line exceeded max_line_bytes before its newline
   kTimeout,   ///< a read or idle deadline expired
-};
-
-/// Source of request lines. Implementations own the input bounds.
-class LineReader {
- public:
-  explicit LineReader(size_t max_line_bytes)
-      : max_line_bytes_(max_line_bytes) {}
-  virtual ~LineReader() = default;
-  virtual ReadStatus Next(std::string* line) = 0;
-  size_t max_line_bytes() const { return max_line_bytes_; }
-
- protected:
-  const size_t max_line_bytes_;
 };
 
 /// Sink for response lines. Write() appends the newline and reports false
@@ -85,21 +79,6 @@ class LineWriter {
   bool failed_ = false;
 };
 
-/// stdio-backed reader (stdin mode). Enforces the line-byte bound; EINTR
-/// is retried unless the stop flag latched (SIGTERM mid-read drains as
-/// EOF). No deadlines — stdin has no hostile peer and no portable timeout.
-class StdioLineReader : public LineReader {
- public:
-  StdioLineReader(std::FILE* in, size_t max_line_bytes,
-                  const std::atomic<bool>* stop = nullptr)
-      : LineReader(max_line_bytes), in_(in), stop_(stop) {}
-  ReadStatus Next(std::string* line) override;
-
- private:
-  std::FILE* in_;
-  const std::atomic<bool>* stop_;
-};
-
 /// stdio-backed writer (stdin/stdout mode).
 class StdioLineWriter : public LineWriter {
  public:
@@ -118,22 +97,37 @@ struct ReadDeadlines {
   double idle_ms = 0.0;  ///< budget for the first byte of the next line
 };
 
-/// poll(2)-driven reader over a nonblocking descriptor (sockets and pipes
-/// alike — the TCP sessions and the sanitizer tests share this code). The
-/// line deadline anchors at the first buffered byte of the current line,
-/// so a drip-feeding client cannot reset it by staying barely alive; the
-/// anchors persist across the kAgain ticks that let the session flush
-/// responses to a client waiting in request/response lockstep.
-class FdLineReader : public LineReader {
+/// Self-pipe that wakes a FdLineReader out of poll(2) (session.cpp).
+class SessionWaker;
+
+/// The source of request lines: a poll(2)-driven reader over a descriptor
+/// (sockets and pipes alike — the TCP sessions, stdin mode and the
+/// sanitizer tests share this code). It owns the input bounds. It only
+/// reads after POLLIN, so a blocking descriptor such as stdin works too.
+/// The line deadline anchors at the first buffered byte of the current
+/// line, so a drip-feeding client cannot reset it by staying barely
+/// alive; the anchors persist across the kAgain returns (ticks and
+/// completion wakeups) that let the session flush responses to a client
+/// waiting in request/response lockstep.
+class FdLineReader {
  public:
   FdLineReader(int fd, size_t max_line_bytes, ReadDeadlines deadlines,
                const std::atomic<bool>* stop = nullptr);
-  ReadStatus Next(std::string* line) override;
+  ReadStatus Next(std::string* line);
+  /// A callback that wakes a Next() blocked waiting for input, making it
+  /// return kAgain; RunSession hands it to the engine as every request's
+  /// on-ready callback. Safe to call from any thread, at any time — also
+  /// after this reader is gone. Empty when the waker could not be made:
+  /// the session then sees finished answers only at its poll tick.
+  std::function<void()> ReadyCallback();
+  size_t max_line_bytes() const { return max_line_bytes_; }
 
  private:
   const int fd_;
+  const size_t max_line_bytes_;
   const ReadDeadlines deadlines_;
   const std::atomic<bool>* stop_;
+  const std::shared_ptr<SessionWaker> waker_;  ///< null: tick-only
   std::string buf_;
   bool eof_ = false;
   bool line_armed_ = false;  ///< first byte of the current line seen
@@ -159,8 +153,8 @@ class FdLineWriter : public LineWriter {
   std::string buf_;
 };
 
-/// Sets O_NONBLOCK on `fd` (the FdLineReader/FdLineWriter contract).
-/// Returns false on fcntl failure.
+/// Sets O_NONBLOCK on `fd` (the FdLineWriter contract; sockets served by
+/// FdLineReader set it too). Returns false on fcntl failure.
 bool SetNonBlocking(int fd);
 #endif  // __unix__
 
@@ -192,13 +186,15 @@ struct SessionResult {
   uint64_t requests = 0;  ///< request lines consumed (ids issued)
 };
 
+#ifdef __unix__
 /// Runs one session to completion. Responses are emitted strictly in
 /// request order; `stats`, `health`, and `reload` responses are rendered at
 /// emission time. Whatever ends the session, every admitted future is
 /// drained before returning.
 SessionResult RunSession(ServingEngine& engine, const SessionHooks& hooks,
-                         LineReader& in, LineWriter& out,
+                         FdLineReader& in, LineWriter& out,
                          const SessionLimits& limits = {});
+#endif  // __unix__
 
 }  // namespace laca
 

@@ -1,6 +1,8 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -62,6 +64,83 @@ TEST(TopKClusterTest, ReturnsFewerWhenSupportIsSmall) {
   scores.Add(4, 1.0);
   std::vector<NodeId> cluster = TopKCluster(scores, 4, 10);
   EXPECT_EQ(cluster, (std::vector<NodeId>{4}));
+}
+
+// The implementation TopKCluster replaced (compact, fully sort by value,
+// scan): the oracle for the property test below.
+std::vector<NodeId> ReferenceTopK(const SparseVector& scores, NodeId seed,
+                                  size_t size) {
+  SparseVector sorted = scores;
+  sorted.SortByValueDesc();
+  std::vector<NodeId> cluster;
+  cluster.push_back(seed);
+  for (const auto& e : sorted.entries()) {
+    if (cluster.size() >= size) break;
+    if (e.index == seed) continue;
+    cluster.push_back(e.index);
+  }
+  return cluster;
+}
+
+TEST(TopKClusterTest, MatchesFullSortOnRandomInputs) {
+  // Randomized inputs over a small value alphabet, so ties are common;
+  // about half are built compact (the fast path), the rest carry duplicate
+  // indices and exact zeros (the compaction path). The counters witness
+  // that every case the selection must get right actually occurred.
+  const std::vector<double> alphabet = {0.0, -0.5, 0.25, 0.5, 1.0, 2.0};
+  std::mt19937 rng(20250325);
+  size_t compact_inputs = 0, with_duplicates = 0, with_zeros = 0,
+         seed_in_top = 0, seed_outside_top = 0, size_past_support = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const NodeId n = 1 + static_cast<NodeId>(rng() % 40);
+    const size_t count = rng() % (2 * n + 1);
+    SparseVector scores;
+    std::vector<bool> seen(n, false);
+    bool dup = false, zero = false;
+    for (size_t i = 0; i < count; ++i) {
+      const NodeId idx = static_cast<NodeId>(rng() % n);
+      const double value = (rng() % 4 == 0)
+                               ? std::ldexp(static_cast<double>(rng() % 64), -5)
+                               : alphabet[rng() % alphabet.size()];
+      dup = dup || seen[idx];
+      zero = zero || value == 0.0;
+      seen[idx] = true;
+      scores.Add(idx, value);
+    }
+    if (rng() % 2 == 0) {
+      scores.Compact();  // strictly index-ascending, no zeros
+      dup = zero = false;
+      ++compact_inputs;
+    }
+    with_duplicates += dup;
+    with_zeros += zero;
+    const NodeId seed = static_cast<NodeId>(rng() % n);
+    const size_t size = 1 + rng() % (n + 4);
+
+    SparseVector ranked = scores;
+    ranked.SortByValueDesc();
+    const auto& top = ranked.entries();
+    const size_t prefix = std::min(size, top.size());
+    const bool in_top =
+        std::any_of(top.begin(), top.begin() + prefix,
+                    [seed](const SparseVector::Entry& e) {
+                      return e.index == seed;
+                    });
+    seed_in_top += in_top;
+    seed_outside_top += !in_top;
+    size_past_support += size > top.size();
+
+    ASSERT_EQ(TopKCluster(scores, seed, size),
+              ReferenceTopK(scores, seed, size))
+        << "trial " << trial << " n=" << n << " seed=" << seed
+        << " size=" << size;
+  }
+  EXPECT_GT(compact_inputs, 0u);
+  EXPECT_GT(with_duplicates, 0u);
+  EXPECT_GT(with_zeros, 0u);
+  EXPECT_GT(seed_in_top, 0u);
+  EXPECT_GT(seed_outside_top, 0u);
+  EXPECT_GT(size_past_support, 0u);
 }
 
 TEST(TopKClusterTest, ZeroSizeThrows) {

@@ -19,6 +19,7 @@
 #include "eval/datasets.hpp"
 #include "server/protocol.hpp"
 #include "server/serving_engine.hpp"
+#include "ready_probe.hpp"
 
 namespace laca {
 namespace {
@@ -359,6 +360,86 @@ TEST_F(ServingCacheTest, FullyExpiredGroupResolvesWithoutComputing) {
   EXPECT_EQ(stats.admitted, 4u);
   EXPECT_EQ(stats.completed, 4u);
   EXPECT_EQ(stats.shed_in_queue, 3u);
+}
+
+// Submit's on-ready callback on the cache and single-flight paths: a hit
+// resolved at admission, a follower released by its leader, a follower
+// promoted after its leader was shed, and followers still parked when
+// Shutdown() begins. Each fires exactly once, after its future is ready.
+TEST_F(ServingCacheTest, OnReadyFiresOnceOnEveryCacheResolutionPath) {
+  ReadyProbe cold, hit, leader, follower, doomed_leader, promoted,
+      drained_leader, drained_follower;
+  Gate gate;
+  std::atomic<bool> park{false};
+  ServingOptions opts = WithWorkers(1, CacheMode::kFull);
+  opts.worker_hook = [&] {
+    if (!park.load()) return;
+    gate.Arrive();
+    gate.WaitUntilOpen();
+  };
+  ServingEngine engine(snap_, opts);
+  std::vector<ServeRequest> reqs = MakeRequests(3);
+
+  ASSERT_EQ(cold.Submit(engine, reqs[0]), ServeStatus::kOk);
+  EXPECT_EQ(cold.Get().status, ServeStatus::kOk);
+  ASSERT_EQ(hit.Submit(engine, reqs[0]), ServeStatus::kOk);  // at admission
+  EXPECT_EQ(hit.Get().status, ServeStatus::kOk);
+  EXPECT_EQ(engine.Stats().cache_hits, 1u);
+
+  // Released follower: the leader parks, the follower attaches, the leader
+  // completes and releases it.
+  park.store(true);
+  ASSERT_EQ(leader.Submit(engine, reqs[1]), ServeStatus::kOk);
+  gate.AwaitArrivals(1);
+  ASSERT_EQ(follower.Submit(engine, reqs[1]), ServeStatus::kOk);
+  // Promoted follower: a 20 ms-budget leader expires in the queue behind
+  // the parked worker; its deadline-free follower is promoted.
+  ServeRequest hot = reqs[2];
+  hot.timeout_ms = 20.0;
+  ASSERT_EQ(doomed_leader.Submit(engine, hot), ServeStatus::kOk);
+  hot.timeout_ms = 0.0;
+  ASSERT_EQ(promoted.Submit(engine, hot), ServeStatus::kOk);
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  park.store(false);
+  gate.Open();
+  EXPECT_EQ(leader.Get().status, ServeStatus::kOk);
+  EXPECT_EQ(follower.Get().status, ServeStatus::kOk);
+  EXPECT_EQ(doomed_leader.Get().status, ServeStatus::kDeadlineExceeded);
+  EXPECT_EQ(promoted.Get().status, ServeStatus::kOk);
+
+  // Shutdown with a group in flight: the drain resolves the leader and its
+  // follower. (Shutdown's sweep for waiters stranded without a leader is
+  // unreachable while the fleet drains every leader; it resolves through
+  // the same Completion::Resolve.)
+  Gate drain_gate;
+  ServingOptions drain_opts = WithWorkers(1, CacheMode::kFull);
+  drain_opts.worker_hook = [&drain_gate] {
+    drain_gate.Arrive();
+    drain_gate.WaitUntilOpen();
+  };
+  ServingEngine parked_engine(snap_, drain_opts);
+  ASSERT_EQ(drained_leader.Submit(parked_engine, reqs[1]), ServeStatus::kOk);
+  drain_gate.AwaitArrivals(1);
+  ASSERT_EQ(drained_follower.Submit(parked_engine, reqs[1]), ServeStatus::kOk);
+  std::thread shutdown([&parked_engine] { parked_engine.Shutdown(); });
+  drain_gate.Open();
+  shutdown.join();
+  EXPECT_EQ(drained_leader.Get().status, ServeStatus::kOk);
+  EXPECT_EQ(drained_follower.Get().status, ServeStatus::kOk);
+
+  engine.Shutdown();
+  const ServingStats stats = engine.Stats();
+  EXPECT_EQ(stats.coalesced, 2u);
+  EXPECT_EQ(stats.shed_in_queue, 1u);
+  EXPECT_EQ(stats.completed, stats.admitted);
+  ExpectResolvedOnce(cold, "worker completion");
+  ExpectResolvedOnce(hit, "cache hit at admission");
+  ExpectResolvedOnce(leader, "leader completion");
+  ExpectResolvedOnce(follower, "follower released by its leader");
+  ExpectResolvedOnce(doomed_leader, "leader shed at claim");
+  ExpectResolvedOnce(promoted, "follower promoted after a leader shed");
+  ExpectResolvedOnce(drained_leader, "leader drained by Shutdown");
+  ExpectResolvedOnce(drained_follower, "follower drained by Shutdown");
 }
 
 // The counters surface end to end: engine stats, STATS line, HEALTH line.

@@ -17,6 +17,7 @@
 #include "data/dataset_snapshot.hpp"
 #include "eval/datasets.hpp"
 #include "server/protocol.hpp"
+#include "ready_probe.hpp"
 
 namespace laca {
 namespace {
@@ -964,6 +965,60 @@ TEST_F(ServingTest, InjectedPromisePathFaultStillFulfillsTheFuture) {
   Admission b = engine.Submit(req);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(b.response.get().status, ServeStatus::kOk);
+}
+
+// Submit's on-ready callback fires exactly once per admitted request, only
+// once its future is ready, on every worker-side resolution path: a served
+// request, a compute exception (kInternal), and a claim-time shed. A
+// rejected request never fires it. (The cache and single-flight paths are
+// covered in serving_cache_test.) A missed path would only show as a
+// session answering at its poll tick instead of at completion.
+TEST_F(ServingTest, OnReadyFiresOnceOnEveryWorkerResolutionPath) {
+  ReadyProbe served, failed, parked, shed, invalid;
+  Gate gate;
+  std::atomic<bool> park{false};
+  ServingOptions opts = WithWorkers(1);
+  opts.fault_injector = std::make_shared<FaultInjector>();
+  opts.fault_injector->Arm(FaultSite::kComputeThrow, /*at_hit=*/2);
+  opts.worker_hook = [&] {
+    if (!park.load()) return;
+    gate.Arrive();
+    gate.WaitUntilOpen();
+  };
+  ServingEngine engine(snap_, opts);
+
+  ServeRequest req;
+  req.seed = 0;
+  req.size = 5;
+  ASSERT_EQ(served.Submit(engine, req), ServeStatus::kOk);
+  EXPECT_EQ(served.Get().status, ServeStatus::kOk);
+  ASSERT_EQ(failed.Submit(engine, req), ServeStatus::kOk);
+  EXPECT_EQ(failed.Get().status, ServeStatus::kInternal);  // compute_throw
+
+  // Claim-time shed: the only worker parks on a job while a 20 ms-budget
+  // job expires behind it.
+  park.store(true);
+  ASSERT_EQ(parked.Submit(engine, req), ServeStatus::kOk);
+  gate.AwaitArrivals(1);
+  ServeRequest doomed = req;
+  doomed.timeout_ms = 20.0;
+  ASSERT_EQ(shed.Submit(engine, doomed), ServeStatus::kOk);
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  gate.Open();
+  EXPECT_EQ(parked.Get().status, ServeStatus::kOk);
+  EXPECT_EQ(shed.Get().status, ServeStatus::kDeadlineExceeded);
+
+  ServeRequest bad = req;
+  bad.size = 0;
+  EXPECT_EQ(invalid.Submit(engine, bad), ServeStatus::kInvalid);
+
+  engine.Shutdown();  // nothing can resolve after this
+  EXPECT_EQ(engine.Stats().shed_in_queue, 1u);
+  ExpectResolvedOnce(served, "worker completion");
+  ExpectResolvedOnce(failed, "compute exception");
+  ExpectResolvedOnce(parked, "worker completion after a park");
+  ExpectResolvedOnce(shed, "claim-time shed");
+  EXPECT_EQ(invalid.calls(), 0) << "a rejected request ran its callback";
 }
 
 // ---------------------------------------------------------------------------

@@ -201,8 +201,9 @@ std::shared_ptr<const DatasetSnapshot> SessionTest::snap_;
 
 TEST_F(SessionTest, LockstepClientGetsEachResponseWithoutPipelining) {
   // The strictest client shape: one request, then a blocking read for its
-  // response before sending anything else. Only the kAgain tick path can
-  // serve it — a session that flushes only on the next input line hangs.
+  // response before sending anything else. Only the kAgain path (the
+  // completion wakeup, or the poll tick when there is none) can serve it —
+  // a session that flushes only on the next input line hangs.
   ServingEngine engine(snap_, WithWorkers(2));
   SessionUnderTest session(engine, 1 << 20, ReadDeadlines{});
   TestClient client(session.ReleaseClientFd());
@@ -447,23 +448,92 @@ TEST_F(SessionTest, StopFlagDrainsConcurrentSessionsWithoutLosingWork) {
   EXPECT_EQ(stats.completed, stats.admitted);  // zero admitted-but-lost
 }
 
-TEST_F(SessionTest, StdioReaderEnforcesTheLineBound) {
-  std::string data = std::string(256, 'y') + "\n";
-  std::FILE* in = ::fmemopen(data.data(), data.size(), "r");
-  ASSERT_NE(in, nullptr);
-  StdioLineReader reader(in, /*max_line_bytes=*/64);
+TEST_F(SessionTest, PipeReaderEnforcesTheLineBound) {
+  // stdin mode's reader: FdLineReader over a blocking pipe, as laca_serve
+  // uses it on fd 0 (no O_NONBLOCK — reads only follow POLLIN).
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  TestClient writer(fds[1]);
+  writer.Send(std::string(256, 'y') + "\n");
+  FdLineReader reader(fds[0], /*max_line_bytes=*/64, ReadDeadlines{});
   std::string line;
   EXPECT_EQ(reader.Next(&line), ReadStatus::kOverlong);
-  std::fclose(in);
+  ::close(fds[0]);
 
-  std::string ok_data = "stats\n";
-  in = ::fmemopen(ok_data.data(), ok_data.size(), "r");
-  ASSERT_NE(in, nullptr);
-  StdioLineReader ok_reader(in, 64);
+  ASSERT_EQ(::pipe(fds), 0);
+  TestClient ok_writer(fds[1]);
+  ok_writer.Send("stats\n");
+  ok_writer.Close();
+  FdLineReader ok_reader(fds[0], 64, ReadDeadlines{});
   EXPECT_EQ(ok_reader.Next(&line), ReadStatus::kLine);
   EXPECT_EQ(line, "stats");
   EXPECT_EQ(ok_reader.Next(&line), ReadStatus::kEof);
-  std::fclose(in);
+  ::close(fds[0]);
+}
+
+TEST_F(SessionTest, LockstepAnswersAreWrittenWhenTheyCompleteNotAtTheTick) {
+  // A client in strict request/response lockstep sends nothing while it
+  // waits, so only the engine's completion wakeup can get its answer out
+  // before the session's 20 ms poll tick. Requests are cheap (eps=0.05 on
+  // cora-sim), so K round trips take far less than K ticks; a session that
+  // flushes only on its tick needs about one full tick per round trip.
+  constexpr int kRoundTrips = 40;
+  constexpr double kPollTickMs = 20.0;  // kPollTickMs in session.cpp
+  ServingEngine engine(snap_, WithWorkers(1));
+  SessionUnderTest session(engine, 1 << 20, ReadDeadlines{});
+  TestClient client(session.ReleaseClientFd());
+
+  client.Send("0 3 eps=0.05\n");  // warm the worker's arena first
+  ASSERT_TRUE(StartsWith(client.ReadLine(), "OK id=1 "));
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 1; i <= kRoundTrips; ++i) {
+    client.Send(std::to_string(i) + " 3 eps=0.05\n");
+    const std::string line = client.ReadLine();
+    ASSERT_TRUE(StartsWith(line, "OK id=" + std::to_string(i + 1) + " "))
+        << line;
+  }
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  EXPECT_LT(elapsed_ms, kRoundTrips * kPollTickMs / 4)
+      << "lockstep answers waited for the poll tick";
+
+  client.Close();
+  EXPECT_EQ(session.Join().requests, static_cast<uint64_t>(kRoundTrips + 1));
+}
+
+TEST_F(SessionTest, WakeupFlushesAnAnswerWithoutExtendingThePartialLine) {
+  // An answer that completes while a partial request line is buffered is
+  // written at once, and the wakeup that carried it leaves the partial
+  // line's deadline anchored at its first byte: the timeout lands at
+  // line_ms, not line_ms after the answer.
+  constexpr double kLineMs = 300.0;
+  constexpr auto kComputeHold = std::chrono::milliseconds(150);
+  ServingOptions opts = WithWorkers(1);
+  opts.worker_hook = [kComputeHold] {
+    std::this_thread::sleep_for(kComputeHold);
+  };
+  ServingEngine engine(snap_, opts);
+  ReadDeadlines deadlines;
+  deadlines.line_ms = kLineMs;
+  SessionUnderTest session(engine, 1 << 20, deadlines);
+  TestClient client(session.ReleaseClientFd());
+
+  const auto start = std::chrono::steady_clock::now();
+  auto since_start_ms = [&start] {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  client.Send("0 5\n0 ");  // a request, then a line that never finishes
+  EXPECT_TRUE(StartsWith(client.ReadLine(), "OK id=1 "));
+  EXPECT_LT(since_start_ms(), kLineMs) << "answer held back by the partial";
+  EXPECT_EQ(client.ReadLine(), "ERR read_timeout");
+  const double timed_out_ms = since_start_ms();
+  EXPECT_GE(timed_out_ms, kLineMs - 1.0);
+  EXPECT_LT(timed_out_ms, kLineMs + 140.0)
+      << "the completion wakeup re-anchored the line deadline";
+  EXPECT_EQ(session.Join().end, SessionResult::End::kTimeout);
 }
 
 }  // namespace

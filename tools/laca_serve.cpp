@@ -93,8 +93,9 @@
 //                    the default; `stats` on any session works regardless)
 //
 // stdin mode exits after EOF (drain) or a `shutdown` line; responses are
-// written in request order, tagged id=<request number> (1-based, counting
-// request lines only — blank/'#' lines consume no id).
+// written in request order, each as soon as it and its predecessors are
+// done, tagged id=<request number> (1-based, counting request lines only —
+// blank/'#' lines consume no id).
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -821,10 +822,20 @@ int main(int argc, char** argv) {
       rc = 2;
 #endif
     } else {
+#ifdef __unix__
+      // stdin stays blocking: the reader reads only after POLLIN, and
+      // O_NONBLOCK would leak into the file description a parent shell or
+      // harness shares with us. No deadlines — stdin has no hostile peer.
       const SessionHooks hooks = MakeHooks(engine, reloads, nullptr, 0);
-      StdioLineReader in(stdin, cli.max_line_bytes, &g_stop);
+      FdLineReader in(STDIN_FILENO, cli.max_line_bytes, ReadDeadlines{},
+                      &g_stop);
       StdioLineWriter out(stdout);
       RunSession(engine, hooks, in, out);
+#else
+      std::fprintf(stderr,
+                   "laca_serve: stdin mode requires a POSIX platform\n");
+      rc = 2;
+#endif
     }
 
     reloads.Shutdown();  // before the engine: tickets publish through it
