@@ -30,6 +30,7 @@ void SetDiffusionCounters(benchmark::State& state,
                           const DiffusionStats& stats) {
   state.counters["edge_work"] = static_cast<double>(stats.push_work);
   state.counters["iterations"] = static_cast<double>(stats.iterations);
+  state.counters["dense_rounds"] = static_cast<double>(stats.dense_rounds);
   state.counters["edges_per_s"] = benchmark::Counter(
       static_cast<double>(stats.push_work),
       benchmark::Counter::kIsIterationInvariantRate);
@@ -214,6 +215,7 @@ void EmitDiffusionJson() {
         .Num("seconds", sec)
         .Int("edge_work", stats.push_work)
         .Int("iterations", stats.iterations)
+        .Int("dense_rounds", stats.dense_rounds)
         .Num("ns_per_edge",
              sec * 1e9 / static_cast<double>(stats.push_work ? stats.push_work
                                                              : 1))

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 
 namespace laca {
@@ -50,20 +51,37 @@ class CancelToken {
   void ArmDeadline(Clock::time_point deadline) {
     deadline_ = deadline;
     cancelled_.store(false, std::memory_order_relaxed);
+    polls_left_.store(0, std::memory_order_relaxed);
     has_deadline_.store(true, std::memory_order_release);
   }
 
-  /// Clears both the deadline and the cancel flag (token never trips).
+  /// Clears the deadline, the poll countdown and the cancel flag (token
+  /// never trips).
   void Disarm() {
     has_deadline_.store(false, std::memory_order_relaxed);
+    polls_left_.store(0, std::memory_order_relaxed);
     cancelled_.store(false, std::memory_order_relaxed);
   }
 
   /// Trips the token immediately, from any thread.
   void Cancel() { cancelled_.store(true, std::memory_order_release); }
 
+  /// Trips the token at its `polls`-th Expired() check from now (1 = the
+  /// next one), as if Cancel() had landed exactly there: a deterministic
+  /// cancellation point inside a kernel for tests. 0 disables the countdown.
+  /// Only the polling thread may arm it.
+  void CancelAfterPolls(uint64_t polls) {
+    cancelled_.store(false, std::memory_order_relaxed);
+    polls_left_.store(polls, std::memory_order_relaxed);
+  }
+
   bool Expired() const {
     if (cancelled_.load(std::memory_order_acquire)) return true;
+    const uint64_t polls_left = polls_left_.load(std::memory_order_relaxed);
+    if (polls_left == 1) return true;  // tripped; stays tripped until re-armed
+    if (polls_left != 0) {
+      polls_left_.store(polls_left - 1, std::memory_order_relaxed);
+    }
     if (!has_deadline_.load(std::memory_order_acquire)) return false;
     return Clock::now() >= deadline_;
   }
@@ -75,6 +93,10 @@ class CancelToken {
  private:
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> has_deadline_{false};
+  // Polls left until a CancelAfterPolls() trip (1 = tripped); 0 = no
+  // countdown. Written only by the polling thread, so a relaxed load/store
+  // pair suffices.
+  mutable std::atomic<uint64_t> polls_left_{0};
   Clock::time_point deadline_{};
 };
 

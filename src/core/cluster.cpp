@@ -1,7 +1,6 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_set>
 
 #include "common/error.hpp"
@@ -63,25 +62,24 @@ std::vector<NodeId> TopKCluster(const SparseVector& scores, NodeId seed,
 std::vector<NodeId> PadWithBfs(const Graph& graph, std::vector<NodeId> cluster,
                                size_t size, NodeId seed) {
   if (cluster.size() >= size) return cluster;
-  std::unordered_set<NodeId> in(cluster.begin(), cluster.end());
-  std::deque<NodeId> queue;
+  // `visited` starts as cluster + seed, so every newly visited node is also
+  // new to the cluster.
+  std::unordered_set<NodeId> visited(cluster.begin(), cluster.end());
+  visited.insert(seed);
   // Start the BFS frontier from the existing cluster (seed first).
+  std::vector<NodeId> queue;
+  queue.reserve(cluster.size() + 1);
   queue.push_back(seed);
   for (NodeId v : cluster) {
     if (v != seed) queue.push_back(v);
   }
-  std::unordered_set<NodeId> visited(cluster.begin(), cluster.end());
-  visited.insert(seed);
-  while (!queue.empty() && cluster.size() < size) {
-    NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId v : graph.Neighbors(u)) {
+  for (size_t head = 0; head < queue.size() && cluster.size() < size;
+       ++head) {
+    for (NodeId v : graph.Neighbors(queue[head])) {
       if (visited.insert(v).second) {
         queue.push_back(v);
-        if (in.insert(v).second) {
-          cluster.push_back(v);
-          if (cluster.size() >= size) break;
-        }
+        cluster.push_back(v);
+        if (cluster.size() >= size) break;
       }
     }
   }

@@ -1,17 +1,43 @@
 #include "diffusion/diffusion.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
 
 namespace laca {
 
+namespace {
+
+// Dense-round gate (DESIGN.md §2). A pull round reads every adjacency entry
+// once plus a per-node loop overhead worth about kPullNodeCost entries; a
+// push round costs about kPushCost entries' worth per edge of the pushed
+// nodes (a random read-modify-write behind a first-touch branch). A round
+// pulls once vol(r) makes the push the dearer of the two. Both constants
+// are fitted to the push/pull crossovers measured on the simulated datasets.
+constexpr double kPushCost = 10.0;
+constexpr double kPullNodeCost = 16.0;
+
+double DenseVolume(const Graph& graph) {
+  const double entries = static_cast<double>(graph.adjacency().size());
+  if (entries == 0.0) return std::numeric_limits<double>::infinity();
+  // vol(G) / entries converts entry counts into (weighted) volume units.
+  return graph.TotalVolume() *
+         (entries + kPullNodeCost * static_cast<double>(graph.num_nodes())) /
+         (kPushCost * entries);
+}
+
+}  // namespace
+
 DiffusionEngine::DiffusionEngine(const Graph& graph)
-    : graph_(graph), owned_ws_(graph), ws_(&owned_ws_) {}
+    : graph_(graph),
+      owned_ws_(graph),
+      ws_(&owned_ws_),
+      dense_volume_(DenseVolume(graph)) {}
 
 DiffusionEngine::DiffusionEngine(const Graph& graph,
                                  DiffusionWorkspace* workspace)
-    : graph_(graph), ws_(workspace) {
+    : graph_(graph), ws_(workspace), dense_volume_(DenseVolume(graph)) {
   LACA_CHECK(workspace != nullptr, "workspace must not be null");
   ws_->Bind(graph);
 }
@@ -47,17 +73,15 @@ SparseVector DiffusionEngine::Adaptive(const SparseVector& f,
 //   * greedy rounds fuse the threshold scan with gamma extraction (one pass
 //     over the support, then a scatter over the usually-small gamma batch);
 //   * non-greedy rounds skip scanning entirely — an early-exit probe checks
-//     that some node still meets Eq. 15, then one pass snapshots the whole
-//     residual (batch semantics of Eq. 16) and one pass scatters it;
+//     that some node still meets Eq. 15, then the whole residual moves into
+//     the ping-pong partner: pushed along the support while vol(r) is small,
+//     pulled by a gather over the whole CSR once it reaches the dense gate;
 //   * adaptive rounds use the probe when sigma == 0 (the decision only needs
 //     "is any node active" plus the budget) and a counting pass otherwise.
 template <bool Weighted, bool TrackVolume>
 void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
                               double budget, bool record_trace, double r_l1,
-                              DiffusionStats* stats, uint64_t* iterations,
-                              uint64_t* greedy_rounds,
-                              uint64_t* nongreedy_rounds, uint64_t* push_work,
-                              double* nongreedy_cost) {
+                              DiffusionStats* stats, Counters* counters) {
   double* r = ws_->r();        // residual being drained this round
   double* r_next = ws_->r_other();  // all-zero ping-pong partner (see below)
   double* const q = ws_->q();
@@ -74,6 +98,7 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
   std::vector<double>& gamma_values = ws_->gamma_values();
   std::vector<NodeId>& q_support = ws_->q_support();
   std::vector<NodeId>& candidates = ws_->candidates();
+  const NodeId n = graph_.num_nodes();
   const double alpha = opts.alpha;
   const double eps = opts.epsilon;
 
@@ -123,7 +148,7 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
       q[v] += (1.0 - alpha) * g;
       const EdgeIndex begin = offsets[v];
       const EdgeIndex end = offsets[v + 1];
-      *push_work += end - begin;
+      counters->push_work += end - begin;
       const double scale = alpha * g * inv_deg[v];
       if (scale == 0.0 || begin == end) continue;  // dangling / underflow
       if (record_trace) scattered_l1 += alpha * g;
@@ -170,7 +195,7 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
     if (mode != Mode::kGreedy) {
       const bool budget_ok =
           mode == Mode::kNonGreedy ||
-          (TrackVolume && *nongreedy_cost + r_volume_ < budget);
+          (TrackVolume && counters->nongreedy_cost + r_volume_ < budget);
       if (mode == Mode::kNonGreedy || opts.sigma == 0.0) {
         // The decision only needs "does any node meet the threshold", so an
         // early-exit probe replaces the full counting scan.
@@ -204,31 +229,37 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
     // before any scatter touches it).
     double g_total = 0.0;
     if (nongreedy) {
-      // Eq. 17 converts the entire residual, so no snapshot pass is needed:
-      // one fused pass drains r while scattering into the all-zero ping-pong
+      // Eq. 17 converts the entire residual into the all-zero ping-pong
       // partner r_next, which preserves Eq. 16 batch semantics by
       // construction (reads and writes hit different arrays). The support
-      // stays append-only; entries appended mid-pass hold their mass in
+      // stays append-only; entries appended mid-round hold their mass in
       // r_next and are skipped by the fixed iteration count.
-      *nongreedy_cost += r_volume_;  // Algo. 2, Line 5
+      counters->nongreedy_cost += r_volume_;  // Algo. 2, Line 5
+      const bool dense = TrackVolume && r_volume_ >= dense_volume_;
       if (TrackVolume) r_volume_ = 0.0;  // re-accumulated over r_next below
-      ++*nongreedy_rounds;
+      ++counters->nongreedy_rounds;
       const size_t count = support.size();
+      // Pull rounds (DESIGN.md §2): the residual covers enough of the graph
+      // that a gather over the whole CSR beats a scatter along the support.
+      // The drain pass then leaves each node's per-edge share
+      // alpha * r_v / d(v) in its r slot instead of scattering it.
+      if (dense) ++counters->dense_rounds;
       for (size_t i = 0; i < count; ++i) {
         poll_cancel();
         const NodeId v = support[i];
         const double rv = r[v];
         if (rv == 0.0) continue;
-        r[v] = 0.0;
         g_total += rv;
         if (q[v] == 0.0) q_support.push_back(v);
         q[v] += (1.0 - alpha) * rv;
         const EdgeIndex begin = offsets[v];
         const EdgeIndex end = offsets[v + 1];
-        *push_work += end - begin;
+        counters->push_work += end - begin;
         const double scale = alpha * rv * inv_deg[v];
+        r[v] = dense ? scale : 0.0;
         if (scale == 0.0 || begin == end) continue;  // dangling / underflow
         if (record_trace) scattered_l1 += alpha * rv;
+        if (dense) continue;
         for (EdgeIndex e = begin; e < end; ++e) {
           double value;
           if constexpr (Weighted) {
@@ -248,6 +279,34 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
           }
           r_next[u] = ru + value;
         }
+      }
+      if (dense) {
+        // The Graph constructor guarantees a symmetric CSR with
+        // w(u,v) == w(v,u), so u's in-neighbours are exactly its adjacency
+        // list. Sums run in CSR order, so r_next differs from a push
+        // round's only in the last bits; new support is appended in
+        // ascending id order.
+        for (NodeId u = 0; u < n; ++u) {
+          poll_cancel();
+          double sum = 0.0;
+          for (EdgeIndex e = offsets[u]; e < offsets[u + 1]; ++e) {
+            if constexpr (Weighted) {
+              sum += r[adjacency[e]] * weights[e];
+            } else {
+              sum += r[adjacency[e]];
+            }
+          }
+          if (sum == 0.0) continue;
+          // Written, counted and stamped with no poll in between, so a
+          // cancel never strands mass outside the support (AbortCall).
+          r_next[u] = sum;
+          r_volume_ += deg[u];
+          if (stamp[u] != call_stamp) {
+            stamp[u] = call_stamp;
+            support.push_back(u);
+          }
+        }
+        for (size_t i = 0; i < count; ++i) r[support[i]] = 0.0;
       }
       std::swap(r, r_next);  // r_next is fully drained, hence all-zero
       ws_->SwapR();
@@ -269,7 +328,7 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
         r[v] = 0.0;
         queued[v] = 0;
       }
-      ++*greedy_rounds;
+      ++counters->greedy_rounds;
       scatter.template operator()<true>(gamma_ids.data(), gamma_values.data(),
                                         count);
     } else {
@@ -289,12 +348,12 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
         if (TrackVolume) r_volume_ -= deg[v];
       }
       if (gamma_ids.empty()) break;  // Algo. 1, Line 4: gamma == 0
-      ++*greedy_rounds;
+      ++counters->greedy_rounds;
       scatter.template operator()<false>(gamma_ids.data(), gamma_values.data(),
                                          gamma_ids.size());
     }
 
-    ++*iterations;
+    ++counters->iterations;
     if (record_trace) {
       // ||r||_1 tracked incrementally: extraction removed g_total, the
       // scatter re-deposited alpha * g per non-dangling gamma node. This
@@ -345,30 +404,24 @@ SparseVector DiffusionEngine::Run(Mode mode, const SparseVector& f,
   // Cost budget of Algo. 2, Line 4: ||f||_1 / ((1 - alpha) eps).
   const double budget = f_l1 / ((1.0 - opts.alpha) * opts.epsilon);
   const bool record_trace = stats != nullptr && stats->record_trace;
-  uint64_t iterations = 0, greedy_rounds = 0, nongreedy_rounds = 0;
-  uint64_t push_work = 0;
-  double nongreedy_cost = 0.0;
+  Counters counters;
 
   try {
     if (graph_.is_weighted()) {
       if (mode == Mode::kGreedy) {
         RunLoop<true, false>(mode, opts, budget, record_trace, f_l1, stats,
-                             &iterations, &greedy_rounds, &nongreedy_rounds,
-                             &push_work, &nongreedy_cost);
+                             &counters);
       } else {
         RunLoop<true, true>(mode, opts, budget, record_trace, f_l1, stats,
-                            &iterations, &greedy_rounds, &nongreedy_rounds,
-                            &push_work, &nongreedy_cost);
+                            &counters);
       }
     } else {
       if (mode == Mode::kGreedy) {
         RunLoop<false, false>(mode, opts, budget, record_trace, f_l1, stats,
-                              &iterations, &greedy_rounds, &nongreedy_rounds,
-                              &push_work, &nongreedy_cost);
+                              &counters);
       } else {
         RunLoop<false, true>(mode, opts, budget, record_trace, f_l1, stats,
-                             &iterations, &greedy_rounds, &nongreedy_rounds,
-                             &push_work, &nongreedy_cost);
+                             &counters);
       }
     }
   } catch (const CancelledError&) {
@@ -381,11 +434,12 @@ SparseVector DiffusionEngine::Run(Mode mode, const SparseVector& f,
   }
 
   if (stats != nullptr) {
-    stats->iterations = iterations;
-    stats->greedy_rounds = greedy_rounds;
-    stats->nongreedy_rounds = nongreedy_rounds;
-    stats->push_work = push_work;
-    stats->nongreedy_cost = nongreedy_cost;
+    stats->iterations = counters.iterations;
+    stats->greedy_rounds = counters.greedy_rounds;
+    stats->nongreedy_rounds = counters.nongreedy_rounds;
+    stats->dense_rounds = counters.dense_rounds;
+    stats->push_work = counters.push_work;
+    stats->nongreedy_cost = counters.nongreedy_cost;
   }
 
   std::vector<NodeId>& q_support = ws_->q_support();

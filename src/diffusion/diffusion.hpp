@@ -42,7 +42,11 @@ struct DiffusionStats {
   uint64_t iterations = 0;
   uint64_t greedy_rounds = 0;
   uint64_t nongreedy_rounds = 0;
-  /// Total edge traversals performed by push operations.
+  /// Non-greedy rounds run as a pull (gather) because the residual covered
+  /// enough of the graph (DESIGN.md §2); a subset of nongreedy_rounds.
+  uint64_t dense_rounds = 0;
+  /// Total edge traversals performed by push operations: the edges of every
+  /// pushed node (Section V-B's cost model), whichever kernel ran the round.
   uint64_t push_work = 0;
   /// Budget consumed by non-greedy rounds (the C_tot of Algo. 2).
   double nongreedy_cost = 0.0;
@@ -107,18 +111,28 @@ class DiffusionEngine {
   SparseVector Run(Mode mode, const SparseVector& f,
                    const DiffusionOptions& opts, DiffusionStats* stats);
 
+  // The counters a call reports through DiffusionStats.
+  struct Counters {
+    uint64_t iterations = 0;
+    uint64_t greedy_rounds = 0;
+    uint64_t nongreedy_rounds = 0;
+    uint64_t dense_rounds = 0;
+    uint64_t push_work = 0;
+    double nongreedy_cost = 0.0;
+  };
+
   // The mode-specialized iteration loop; Weighted selects the scatter kernel
   // and TrackVolume elides vol(r) bookkeeping when the mode never reads it.
   template <bool Weighted, bool TrackVolume>
   void RunLoop(Mode mode, const DiffusionOptions& opts, double budget,
                bool record_trace, double r_l1, DiffusionStats* stats,
-               uint64_t* iterations, uint64_t* greedy_rounds,
-               uint64_t* nongreedy_rounds, uint64_t* push_work,
-               double* nongreedy_cost);
+               Counters* counters);
 
   const Graph& graph_;
   DiffusionWorkspace owned_ws_;  // unused when a workspace is borrowed
   DiffusionWorkspace* ws_;
+  // vol(r) at or above which a non-greedy round pulls instead of pushing.
+  const double dense_volume_;
   double r_volume_ = 0.0;
 };
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <random>
 #include <stdexcept>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,6 +179,76 @@ TEST(PadWithBfsTest, StopsAtComponentBoundary) {
   // Only nodes reachable from the seed can pad the cluster.
   std::sort(cluster.begin(), cluster.end());
   EXPECT_EQ(cluster, (std::vector<NodeId>{0, 1, 2}));
+}
+
+// The implementation PadWithBfs replaced (a deque frontier plus a redundant
+// membership set), kept as the oracle for the property test below.
+std::vector<NodeId> ReferencePadWithBfs(const Graph& graph,
+                                        std::vector<NodeId> cluster,
+                                        size_t size, NodeId seed) {
+  if (cluster.size() >= size) return cluster;
+  std::unordered_set<NodeId> in(cluster.begin(), cluster.end());
+  std::deque<NodeId> queue;
+  queue.push_back(seed);
+  for (NodeId v : cluster) {
+    if (v != seed) queue.push_back(v);
+  }
+  std::unordered_set<NodeId> visited(cluster.begin(), cluster.end());
+  visited.insert(seed);
+  while (!queue.empty() && cluster.size() < size) {
+    NodeId u = queue.front();
+    queue.pop_front();
+    for (NodeId v : graph.Neighbors(u)) {
+      if (visited.insert(v).second) {
+        queue.push_back(v);
+        if (in.insert(v).second) {
+          cluster.push_back(v);
+          if (cluster.size() >= size) break;
+        }
+      }
+    }
+  }
+  return cluster;
+}
+
+TEST(PadWithBfsTest, MatchesReferenceOnRandomInputs) {
+  std::mt19937_64 rng(2024);
+  size_t without_seed = 0, beyond_reach = 0, already_full = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    // A few random components plus isolated nodes, so the BFS reach from
+    // the seed is often smaller than the requested size.
+    const NodeId n = 8 + static_cast<NodeId>(rng() % 48);
+    const NodeId blocks = 1 + static_cast<NodeId>(rng() % 4);
+    GraphBuilder b(n);
+    const size_t edges = rng() % (3 * n);
+    for (size_t e = 0; e < edges; ++e) {
+      const NodeId u = static_cast<NodeId>(rng() % n);
+      const NodeId v = static_cast<NodeId>(rng() % n);
+      if (u != v && u % blocks == v % blocks) b.AddEdge(u, v);
+    }
+    Graph g = b.Build();
+    const NodeId seed = static_cast<NodeId>(rng() % n);
+    std::vector<NodeId> cluster;
+    const bool include_seed = rng() % 3 != 0;
+    if (include_seed) cluster.push_back(seed);
+    const size_t extra = rng() % 6;
+    for (size_t i = 0; i < extra; ++i) {
+      cluster.push_back(static_cast<NodeId>(rng() % n));  // may repeat
+    }
+    std::shuffle(cluster.begin(), cluster.end(), rng);
+    const size_t size = 1 + rng() % (n + 4);
+    if (std::find(cluster.begin(), cluster.end(), seed) == cluster.end()) {
+      ++without_seed;
+    }
+    if (size <= cluster.size()) ++already_full;
+    std::vector<NodeId> want = ReferencePadWithBfs(g, cluster, size, seed);
+    if (want.size() < size) ++beyond_reach;
+    EXPECT_EQ(PadWithBfs(g, cluster, size, seed), want) << "trial " << trial;
+  }
+  // Every branch the property covers actually occurred.
+  EXPECT_GT(without_seed, 0u);
+  EXPECT_GT(beyond_reach, 0u);
+  EXPECT_GT(already_full, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "diffusion/diffusion.hpp"
 #include "diffusion/push.hpp"
@@ -335,6 +336,175 @@ TEST(GoldenWorkspaceTest, RebindingToSameSizeGraphRefreshesDegrees) {
   for (size_t i = 0; i < want.reserve.Size(); ++i) {
     EXPECT_EQ(got.reserve.entries()[i].index, want.reserve.entries()[i].index);
     EXPECT_EQ(got.reserve.entries()[i].value, want.reserve.entries()[i].value);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Dense (pull) rounds: once vol(r) reaches the engine's dense gate, a
+// non-greedy round gathers over the whole CSR instead of scattering along
+// the support. These inputs force that regime (small eps, so the residual
+// covers the graph) and pin it to the same frozen reference.
+
+constexpr NodeId kDenseCore = 300;
+constexpr NodeId kPendantSeed = kDenseCore + 4;  // degree 1, hangs off node 0
+
+// A random core graph plus isolated nodes kDenseCore..kDenseCore+3 and the
+// degree-1 pendant seed. The weighted variant carries random weights and one
+// edge so light that every share pushed across it underflows to zero.
+Graph DenseRegimeGraph(bool weighted) {
+  GraphBuilder b(kPendantSeed + 1);
+  Rng rng(weighted ? 202 : 101);
+  for (NodeId v = 0; v < kDenseCore; ++v) {
+    for (int k = 0; k < 5; ++k) {
+      const NodeId u = static_cast<NodeId>(rng.UniformInt(kDenseCore));
+      b.AddEdge(v, u, weighted ? 0.25 + 2.0 * rng.Uniform() : 1.0);
+    }
+  }
+  b.AddEdge(kPendantSeed, 0, weighted ? 0.7 : 1.0);
+  if (weighted) b.AddEdge(1, kDenseCore - 1, 1e-320);
+  return b.Build(weighted);
+}
+
+SparseVector DenseRegimeInput() {
+  SparseVector f;
+  f.Add(kPendantSeed, 0.6);
+  f.Add(17, 0.4);
+  return f;
+}
+
+SparseVector RunKernel(DiffusionEngine& engine, RefMode mode,
+                       const SparseVector& f, const DiffusionOptions& opts,
+                       DiffusionStats* stats = nullptr) {
+  return mode == RefMode::kNonGreedy ? engine.NonGreedy(f, opts, stats)
+                                     : engine.Adaptive(f, opts, stats);
+}
+
+void ExpectBitIdentical(const SparseVector& x, const SparseVector& y) {
+  ASSERT_EQ(x.Size(), y.Size());
+  for (size_t i = 0; i < x.Size(); ++i) {
+    EXPECT_EQ(x.entries()[i].index, y.entries()[i].index);
+    EXPECT_EQ(x.entries()[i].value, y.entries()[i].value);
+  }
+}
+
+TEST(GoldenDenseRoundTest, PullRoundsMatchReference) {
+  for (bool weighted : {false, true}) {
+    Graph g = DenseRegimeGraph(weighted);
+    ASSERT_EQ(g.Degree(kPendantSeed), weighted ? 0.7 : 1.0);
+    ASSERT_EQ(g.Degree(kDenseCore), 0.0);  // isolated
+    for (RefMode mode : {RefMode::kNonGreedy, RefMode::kAdaptive}) {
+      for (double epsilon : {1e-6, 1e-8}) {
+        SCOPED_TRACE(::testing::Message() << "weighted=" << weighted
+                                          << " mode=" << static_cast<int>(mode)
+                                          << " eps=" << epsilon);
+        DiffusionEngine engine(g);
+        DiffusionOptions opts;
+        opts.epsilon = epsilon;
+        DiffusionStats stats;
+        SparseVector got = RunKernel(engine, mode, DenseRegimeInput(), opts,
+                                     &stats);
+        EXPECT_GT(stats.dense_rounds, 0u);
+        EXPECT_LE(stats.dense_rounds, stats.nongreedy_rounds);
+        std::vector<double> want =
+            ReferenceDiffuse(g, mode, DenseRegimeInput(), opts);
+        std::vector<double> got_dense = got.ToDense(g.num_nodes());
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          EXPECT_NEAR(got_dense[v], want[v], 1e-12) << "node " << v;
+        }
+        for (const auto& e : got.entries()) {
+          EXPECT_NE(want[e.index], 0.0) << "spurious entry at " << e.index;
+        }
+      }
+    }
+  }
+}
+
+TEST(GoldenDenseRoundTest, LocalResidualStaysOnThePushPath) {
+  // A 60x60 grid from a corner seed at eps = 1e-3: the residual stays a
+  // small ball around the seed, far below the dense gate.
+  constexpr NodeId kSide = 60;
+  GraphBuilder b(kSide * kSide);
+  for (NodeId i = 0; i < kSide; ++i) {
+    for (NodeId j = 0; j < kSide; ++j) {
+      if (j + 1 < kSide) b.AddEdge(i * kSide + j, i * kSide + j + 1);
+      if (i + 1 < kSide) b.AddEdge(i * kSide + j, (i + 1) * kSide + j);
+    }
+  }
+  Graph g = b.Build();
+  DiffusionEngine engine(g);
+  DiffusionOptions opts;
+  opts.epsilon = 1e-3;
+  DiffusionStats stats;
+  SparseVector got = engine.NonGreedy(SparseVector::Unit(0), opts, &stats);
+  EXPECT_GT(stats.nongreedy_rounds, 0u);
+  EXPECT_EQ(stats.dense_rounds, 0u);
+  std::vector<double> want =
+      ReferenceDiffuse(g, RefMode::kNonGreedy, SparseVector::Unit(0), opts);
+  std::vector<double> got_dense = got.ToDense(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_NEAR(got_dense[v], want[v], 1e-12) << "node " << v;
+  }
+}
+
+TEST(GoldenDenseRoundTest, RepeatedCallsAreBitIdenticalAndAllocationFlat) {
+  for (bool weighted : {false, true}) {
+    Graph g = DenseRegimeGraph(weighted);
+    DiffusionEngine engine(g);
+    DiffusionOptions opts;
+    opts.epsilon = 1e-7;
+    const SparseVector first_ng = engine.NonGreedy(DenseRegimeInput(), opts);
+    const SparseVector first_ad = engine.Adaptive(DenseRegimeInput(), opts);
+    const uint64_t warm = engine.workspace().alloc_events();
+    for (int rep = 0; rep < 5; ++rep) {
+      ExpectBitIdentical(engine.NonGreedy(DenseRegimeInput(), opts), first_ng);
+      engine.Greedy(SparseVector::Unit(static_cast<NodeId>(rep)), opts);
+      ExpectBitIdentical(engine.Adaptive(DenseRegimeInput(), opts), first_ad);
+    }
+    EXPECT_EQ(engine.workspace().alloc_events(), warm);
+  }
+}
+
+TEST(GoldenDenseRoundTest, CancelAtEveryPollLeavesArenaClean) {
+  // Trips the token at each poll of the call in turn (round boundaries,
+  // both passes of every pull round), so some cancels land mid-gather with
+  // mass in both residual generations. Each cancelled call must leave the
+  // arena clean: the rerun is bit-identical and nothing is allocated.
+  for (bool weighted : {false, true}) {
+    Graph g = DenseRegimeGraph(weighted);
+    DiffusionEngine engine(g);
+    DiffusionOptions opts;
+    opts.epsilon = 1e-7;
+    DiffusionStats stats;
+    const SparseVector want =
+        engine.NonGreedy(DenseRegimeInput(), opts, &stats);
+    ASSERT_GT(stats.dense_rounds, 0u);
+    const uint64_t warm = engine.workspace().alloc_events();
+    CancelToken token;
+    DiffusionOptions copts = opts;
+    copts.cancel = &token;
+    uint64_t cancels = 0;
+    for (uint64_t polls = 1;; ++polls) {
+      token.CancelAfterPolls(polls);
+      try {
+        ExpectBitIdentical(engine.NonGreedy(DenseRegimeInput(), copts), want);
+        break;  // the countdown outlived the call: every poll site was hit
+      } catch (const CancelledError&) {
+        ++cancels;
+      }
+      // AbortCall cleared the supports, so no residue or reserve may be
+      // left anywhere in either residual generation.
+      DiffusionWorkspace* ws = engine.mutable_workspace();
+      size_t dirty = 0;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        dirty += ws->r()[v] != 0.0 || ws->r_other()[v] != 0.0 ||
+                 ws->q()[v] != 0.0;
+      }
+      EXPECT_EQ(dirty, 0u) << "after a cancel at poll " << polls;
+      ExpectBitIdentical(engine.NonGreedy(DenseRegimeInput(), opts), want);
+    }
+    // More polls than round boundaries, so cancels landed inside rounds.
+    EXPECT_GT(cancels, stats.iterations + 1);
+    EXPECT_EQ(engine.workspace().alloc_events(), warm);
   }
 }
 

@@ -1291,7 +1291,9 @@ TEST_F(ServingTest, BrownoutEntersOnServedTailLatencyWhileQueueIsBackedUp) {
       tail.push_back(std::move(a));
     }
   }
-  if (shed_seen) EXPECT_GE(shed.retry_after_ms, 1.0);
+  if (shed_seen) {
+    EXPECT_GE(shed.retry_after_ms, 1.0);
+  }
   EXPECT_GE(engine.Stats().brownout_entries, 1u) << "p99 entry never latched";
 
   // Drain; the latch releases once the queue is back at fleet depth.
